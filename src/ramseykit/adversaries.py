@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .colouring import EdgeColouring
+from .colouring import EdgeColouring, _max_colour_degree
 from .graphs import OrderedGraph
 
 __all__ = [
@@ -153,11 +153,6 @@ def verify_properness(phi: EdgeColouring) -> bool:
 
 def max_colour_multiplicity(phi: EdgeColouring) -> int:
     """max over vertices v and colours c of the colour degree d_c(v, V)."""
-    counts: list[dict[int, int]] = [dict() for _ in range(phi.host.n + 1)]
-    best = 0
-    for (u, v), c in phi.items():
-        for x in (u, v):
-            counts[x][c] = counts[x].get(c, 0) + 1
-            if counts[x][c] > best:
-                best = counts[x][c]
-    return best
+    host = phi.host
+    return max((_max_colour_degree(phi, v, host.vertex_bitmask) for v in host.vertices),
+               default=0)

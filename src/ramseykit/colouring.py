@@ -8,7 +8,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .graphs import Edge, OrderedGraph, bits, normalise_edge, vertex_mask
+from .graphs import Edge, OrderedGraph, _read_records, bits, normalise_edge, vertex_mask
 
 __all__ = [
     "EdgeColouring",
@@ -207,19 +207,38 @@ def witness_for(phi: EdgeColouring, vertices: Sequence[int]) -> CanonicalWitness
     return CanonicalWitness(verts, frozenset(tags), evidence)
 
 
-def _colour_counts(phi: EdgeColouring, v: int, umask: int) -> dict[int, int]:
+def _colour_counts(phi: EdgeColouring, v: int, umask: int,
+                   direction: Optional[str] = None) -> dict[int, int]:
+    """Colour degrees d_c(v, U) of v into the vertex bitmask U, by colour c.
+
+    Direction "<" counts only neighbours w > v, ">" only w < v.
+    """
+    lower = (1 << v) - 1
+    rest = phi.host._adj[v] & umask
+    if direction == "<":
+        rest &= ~lower
+    elif direction == ">":
+        rest &= lower
+    colour_of = phi._map
     counts: dict[int, int] = {}
-    for w in bits(phi.host.adjacency(v) & umask):
-        c = phi.colour(v, w)
+    while rest:
+        low = rest & -rest
+        w = low.bit_length() - 1
+        rest ^= low
+        c = colour_of[(w, v) if w < v else (v, w)]
         counts[c] = counts.get(c, 0) + 1
     return counts
 
 
+def _max_colour_degree(phi: EdgeColouring, v: int, umask: int,
+                       direction: Optional[str] = None) -> int:
+    """max_c d_c(v, U) (0 when v has no neighbour in U)."""
+    return max(_colour_counts(phi, v, umask, direction).values(), default=0)
+
+
 def colour_degree(phi: EdgeColouring, v: int, us: Iterable[int], c: int) -> int:
     """|{w in U : vw is an edge and phi(vw) = c}|."""
-    umask = vertex_mask(phi.host, us)
-    return sum(1 for w in bits(phi.host.adjacency(v) & umask)
-               if phi.colour(v, w) == c)
+    return _colour_counts(phi, v, vertex_mask(phi.host, us)).get(c, 0)
 
 
 def directed_colour_degree(phi: EdgeColouring, v: int, us: Iterable[int],
@@ -227,50 +246,28 @@ def directed_colour_degree(phi: EdgeColouring, v: int, us: Iterable[int],
     """Colour degree restricted to neighbours w with v < w or v > w."""
     if direction not in ("<", ">"):
         raise ValueError("direction must be '<' or '>'")
-    umask = vertex_mask(phi.host, us)
-    if direction == "<":
-        umask &= ~((1 << (v + 1)) - 1)
-    else:
-        umask &= (1 << v) - 1
-    return sum(1 for w in bits(phi.host.adjacency(v) & umask)
-               if phi.colour(v, w) == c)
+    return _colour_counts(phi, v, vertex_mask(phi.host, us), direction).get(c, 0)
 
 
 def is_delta_p_bounded(phi: EdgeColouring, us: Iterable[int],
                        delta: float, p: float) -> bool:
     """Every colour degree into U stays <= delta * p * |U|, for every u in U."""
     umask = vertex_mask(phi.host, us)
-    size = umask.bit_count()
-    if size == 0:
+    if not umask:
         raise ValueError("U must be nonempty")
-    cap = delta * p * size
-    for u in bits(umask):
-        counts = _colour_counts(phi, u, umask)
-        if counts and max(counts.values()) > cap:
-            return False
-    return True
+    cap = delta * p * umask.bit_count()
+    return all(_max_colour_degree(phi, u, umask) <= cap for u in bits(umask))
 
 
 def unbounded_condition_holds(phi: EdgeColouring, us: Iterable[int],
                               delta: float, p: float) -> bool:
     """At least half of U has some colour degree >= 8 * delta * p * |U|.
 
-    The half-of-U comparison is exact (2 * count >= |U|), avoiding
+    The half-of-U comparison is exact (|B(U)| >= |U'| in integers), avoiding
     floating-point ties.
     """
-    umask = vertex_mask(phi.host, us)
-    size = umask.bit_count()
-    if size == 0:
-        raise ValueError("U must be nonempty")
-    threshold = 8.0 * delta * p * size
-    if threshold <= 0.0:
-        return True  # degree >= 0 holds vacuously at every vertex
-    hits = 0
-    for u in bits(umask):
-        counts = _colour_counts(phi, u, umask)
-        if counts and max(counts.values()) >= threshold:
-            hits += 1
-    return 2 * hits >= size
+    unbounded, rest = bounded_side_split(phi, us, delta, p)
+    return len(unbounded) >= len(rest)
 
 
 def unbounded_vertices(phi: EdgeColouring, us: Iterable[int], delta: float,
@@ -279,27 +276,11 @@ def unbounded_vertices(phi: EdgeColouring, us: Iterable[int], delta: float,
     if direction not in ("<", ">"):
         raise ValueError("direction must be '<' or '>'")
     umask = vertex_mask(phi.host, us)
-    size = umask.bit_count()
-    if size == 0:
+    if not umask:
         raise ValueError("U must be nonempty")
-    threshold = 4.0 * delta * p * size
-    if threshold <= 0.0:
-        return tuple(bits(umask))
-    out = []
-    for u in bits(umask):
-        counts: dict[int, int] = {}
-        hit = False
-        for w in bits(phi.host.adjacency(u) & umask):
-            if (direction == "<") != (u < w):
-                continue
-            c = phi.colour(u, w)
-            counts[c] = counts.get(c, 0) + 1
-            if counts[c] >= threshold:
-                hit = True
-                break
-        if hit:
-            out.append(u)
-    return tuple(out)
+    threshold = 4.0 * delta * p * umask.bit_count()
+    return tuple(u for u in bits(umask)
+                 if _max_colour_degree(phi, u, umask, direction) >= threshold)
 
 
 def bounded_side_split(phi: EdgeColouring, us: Iterable[int], delta: float,
@@ -307,19 +288,13 @@ def bounded_side_split(phi: EdgeColouring, us: Iterable[int], delta: float,
     """Partition U into its unbounded part B(U) (some colour degree
     >= 8 * delta * p * |U|) and the bounded remainder U'."""
     umask = vertex_mask(phi.host, us)
-    size = umask.bit_count()
-    if size == 0:
+    if not umask:
         raise ValueError("U must be nonempty")
-    threshold = 8.0 * delta * p * size
-    if threshold <= 0.0:
-        return tuple(bits(umask)), ()
+    threshold = 8.0 * delta * p * umask.bit_count()
     unbounded, rest = [], []
     for u in bits(umask):
-        counts = _colour_counts(phi, u, umask)
-        if counts and max(counts.values()) >= threshold:
-            unbounded.append(u)
-        else:
-            rest.append(u)
+        side = unbounded if _max_colour_degree(phi, u, umask) >= threshold else rest
+        side.append(u)
     return tuple(unbounded), tuple(rest)
 
 
@@ -464,28 +439,16 @@ def read_colouring(path: str, host: OrderedGraph) -> EdgeColouring:
 
     The first offending line is reported on failure.
     """
-    with open(path) as fh:
-        raw = [line.strip() for line in fh]
-    lines = [line for line in raw if line]
-    if not lines:
-        raise ValueError("empty colouring file")
-    try:
-        n, m = (int(tok) for tok in lines[0].split())
-    except ValueError as exc:
-        raise ValueError(f"line 1: malformed header {lines[0]!r}") from exc
+    (top, (n, m)), *records = _read_records(path, "colouring", "n m", "u v c")
     if n != host.n:
-        raise ValueError(f"line 1: header n={n} does not match host n={host.n}")
+        raise ValueError(f"line {top}: header n={n} does not match host n={host.n}")
     if m != host.edge_count:
-        raise ValueError(f"line 1: header m={m} does not match host m={host.edge_count}")
+        raise ValueError(f"line {top}: header m={m} does not match host m={host.edge_count}")
     mapping: dict[Edge, int] = {}
-    for idx, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {idx}: expected 'u v c', got {line!r}")
-        u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
+    for idx, (u, v, c) in records:
         if not u < v:
             raise ValueError(f"line {idx}: endpoints must satisfy u < v")
-        if not host.has_edge(u, v):
+        if not (1 <= u and v <= host.n and host.has_edge(u, v)):
             raise ValueError(f"line {idx}: ({u},{v}) is not an edge of the host")
         if (u, v) in mapping:
             raise ValueError(f"line {idx}: duplicate edge ({u},{v})")

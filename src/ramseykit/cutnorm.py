@@ -11,7 +11,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import Edge, OrderedGraph, count_cliques, normalise_edge
+from .graphs import Edge, OrderedGraph, _read_records, _sample_pairs, count_cliques, normalise_edge
 
 __all__ = [
     "WeightedGraph",
@@ -302,14 +302,7 @@ def sample_graph_from_weights(d: WeightedGraph, seed: int) -> OrderedGraph:
     """
     if not d.in_unit_range():
         raise RangeViolation("edge probabilities must lie in [0,1]")
-    n = d.n
-    rng = np.random.Generator(np.random.PCG64(seed))
-    draws = rng.random(n * (n - 1) // 2)
-    iu, iv = np.triu_indices(n, k=1)
-    probs = d.w[iu, iv]
-    chosen = draws < probs
-    edges = [(int(u) + 1, int(v) + 1) for u, v in zip(iu[chosen], iv[chosen])]
-    return OrderedGraph(n, edges)
+    return _sample_pairs(d.n, d.w[np.triu_indices(d.n, k=1)], seed)
 
 
 def degree_lemma_check(f: WeightedGraph, g: WeightedGraph, us: Iterable[int],
@@ -375,25 +368,13 @@ def write_weighted(f: WeightedGraph, path: str) -> None:
 
 
 def read_weighted(path: str) -> WeightedGraph:
-    with open(path) as fh:
-        raw = [line.strip() for line in fh]
-    lines = [line for line in raw if line]
-    if not lines:
-        raise ValueError("empty weighted-graph file")
-    try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise ValueError(f"line 1: malformed header {lines[0]!r}") from exc
-    expected = n * (n - 1) // 2
-    if len(lines) - 1 != expected:
-        raise ValueError(f"expected {expected} weight lines, found {len(lines) - 1}")
+    (_, (n,)), *records = _read_records(path, "weighted-graph", "n", "u v w")
+    pairs = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
+    if len(records) != len(pairs):
+        raise ValueError(f"expected {len(pairs)} weight lines, found {len(records)}")
     w = np.zeros((n, n))
-    pos = 1
-    for u in range(1, n):
-        for v in range(u + 1, n + 1):
-            parts = lines[pos].split()
-            if len(parts) != 3 or int(parts[0]) != u or int(parts[1]) != v:
-                raise ValueError(f"line {pos + 1}: expected pair ({u},{v})")
-            w[u - 1, v - 1] = w[v - 1, u - 1] = float(parts[2])
-            pos += 1
+    for (idx, (a, b, x)), (u, v) in zip(records, pairs):
+        if (a, b) != (u, v):
+            raise ValueError(f"line {idx}: expected pair ({u},{v})")
+        w[u - 1, v - 1] = w[v - 1, u - 1] = x
     return WeightedGraph(w)

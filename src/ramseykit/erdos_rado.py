@@ -20,8 +20,11 @@ from .colouring import (
     CanonicalWitness,
     EdgeColouring,
     PatternTag,
+    _colour_counts,
+    _max_colour_degree,
     witness_for,
 )
+from .graphs import vertex_mask
 from .search import SearchOutcome, find_canonical_copy
 
 __all__ = [
@@ -149,20 +152,13 @@ def build_sequence(phi: EdgeColouring,
     trace: list[tuple[int, ...]] = []
     for i in range(1, consts.length + 1):
         threshold = delta * len(surviving) / 2.0
-        best = None  # (count, v, colour, dir_rank)
+        smask = vertex_mask(phi.host, surviving)
+        best = None  # (-count, v, colour, dir_rank)
         for v in surviving:
-            counts: dict[tuple[int, int], int] = {}
-            for w in surviving:
-                if w == v:
-                    continue
-                key = (phi.colour(v, w), 0 if v < w else 1)
-                counts[key] = counts.get(key, 0) + 1
-            for (c, rank), d in counts.items():
-                if d <= threshold:
-                    continue
-                key = (-d, v, c, rank)
-                if best is None or key < best:
-                    best = key
+            for rank, side in enumerate("<>"):
+                for c, d in _colour_counts(phi, v, smask, side).items():
+                    if d > threshold and (best is None or (-d, v, c, rank) < best):
+                        best = (-d, v, c, rank)
         if best is None:
             return BoundedSubsetSignal(tuple(surviving), delta)
         d, v, c, rank = -best[0], best[1], best[2], best[3]
@@ -269,18 +265,12 @@ def rainbow_by_sampling(phi: EdgeColouring, us, ell: int, delta: float,
     u_sorted = tuple(sorted(set(us)))
     if not u_sorted:
         raise ValueError("U must be nonempty")
+    umask = vertex_mask(phi.host, u_sorted)
     cap = delta * len(u_sorted)
     for v in u_sorted:
-        counts: dict[int, int] = {}
-        for w in u_sorted:
-            if w == v:
-                continue
-            c = phi.colour(v, w)
-            counts[c] = counts.get(c, 0) + 1
-            if counts[c] > cap:
-                raise NotBounded(
-                    f"colour degree {counts[c]} at vertex {v} exceeds delta|U| = {cap}"
-                )
+        degree = _max_colour_degree(phi, v, umask)
+        if degree > cap:
+            raise NotBounded(f"colour degree {degree} at vertex {v} exceeds delta|U| = {cap}")
     keep_p = min(1.0, 2.0 * ell / len(u_sorted))
     rng = np.random.Generator(np.random.PCG64(seed))
     for _ in range(rounds):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -161,30 +161,52 @@ def gnp_generate(n: int, p: float, seed: int) -> GnpSample:
         raise ValueError("p must lie in [0,1]")
     if n < 1:
         raise ValueError("n must be >= 1")
+    return GnpSample(_sample_pairs(n, p, seed), float(p), int(seed))
+
+
+def _sample_pairs(n: int, probs: float | np.ndarray, seed: int) -> OrderedGraph:
+    """Keep each pair whose draw falls below its probability.
+
+    One PCG64(seed) uniform draw is consumed per vertex pair in lexicographic
+    order; ``probs`` is one probability for every pair or an array giving
+    one per pair in that order.
+    """
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = rng.random(n * (n - 1) // 2)
     iu, iv = np.triu_indices(n, k=1)
-    chosen = draws < p
-    edges = [(int(u) + 1, int(v) + 1) for u, v in zip(iu[chosen], iv[chosen])]
-    return GnpSample(OrderedGraph(n, edges), float(p), int(seed))
+    chosen = draws < probs
+    return OrderedGraph(n, [(int(u) + 1, int(v) + 1) for u, v in zip(iu[chosen], iv[chosen])])
 
 
-def _count_extensions(adj: Sequence[int], cand: int, need: int) -> int:
-    """Number of ``need``-cliques inside ``cand`` whose vertices ascend."""
-    if need == 1:
-        return cand.bit_count()
-    total = 0
+def _extend_cliques(adj: Sequence[int], cand: int, need: int,
+                    admit: Optional[Callable[[list[int], int], bool]] = None,
+                    prefix: Optional[list[int]] = None) -> Iterator[tuple[int, ...]]:
+    """Stream ``prefix`` + c for every increasing ``need``-tuple c of pairwise
+    adjacent vertices in ``cand``, in lexicographic order.
+
+    ``admit(prefix, v)``, when given, is asked before v joins the prefix; a
+    refusal prunes every tuple through prefix + [v].  ``prefix`` is shared
+    scratch space: it holds the current partial tuple during each call.
+    """
+    if prefix is None:
+        prefix = []
     rest = cand
     while rest:
         low = rest & -rest
         v = low.bit_length() - 1
         rest ^= low
-        if rest.bit_count() < need - 1:
-            break
+        if rest.bit_count() + 1 < need:
+            return
+        if admit is not None and not admit(prefix, v):
+            continue
+        if need == 1:
+            yield (*prefix, v)
+            continue
         sub = rest & adj[v]
         if sub.bit_count() >= need - 1:
-            total += _count_extensions(adj, sub, need - 1)
-    return total
+            prefix.append(v)
+            yield from _extend_cliques(adj, sub, need - 1, admit, prefix)
+            prefix.pop()
 
 
 def count_cliques(graph: OrderedGraph, ell: int,
@@ -199,7 +221,8 @@ def count_cliques(graph: OrderedGraph, ell: int,
     mask = vertex_mask(graph, within)
     if mask.bit_count() < ell:
         return 0
-    return _count_extensions(graph._adj, mask, ell) * math.factorial(ell)
+    found = sum(1 for _ in _extend_cliques(graph._adj, mask, ell))
+    return found * math.factorial(ell)
 
 
 def enumerate_cliques(graph: OrderedGraph, ell: int,
@@ -211,29 +234,7 @@ def enumerate_cliques(graph: OrderedGraph, ell: int,
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    adj = graph._adj
-    mask = vertex_mask(graph, within)
-
-    prefix: list[int] = []
-
-    def grow(cand: int, need: int) -> Iterator[tuple[int, ...]]:
-        rest = cand
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            if need == 1:
-                yield tuple(prefix) + (v,)
-                continue
-            if rest.bit_count() < need - 1:
-                break
-            sub = rest & adj[v]
-            if sub.bit_count() >= need - 1:
-                prefix.append(v)
-                yield from grow(sub, need - 1)
-                prefix.pop()
-
-    return grow(mask, ell)
+    return _extend_cliques(graph._adj, vertex_mask(graph, within), ell)
 
 
 def edge_count_between(graph: OrderedGraph, xs: Iterable[int], ys: Iterable[int]) -> int:
@@ -260,36 +261,15 @@ def _has_conflicting_clique_pair(adj: Sequence[int], common: int, k: int) -> boo
     common neighbourhood share a vertex.  For k = 1 distinct singletons are
     disjoint, so the answer is always False.
     """
-    if k < 1 or common.bit_count() < k:
-        return False
-    if k == 1:
-        return False
-    membership: dict[int, int] = {}
-
-    def scan(cand: int, chosen: list[int], need: int) -> bool:
-        rest = cand
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            if need == 1:
-                for w in chosen + [v]:
-                    count = membership.get(w, 0) + 1
-                    if count >= 2:
-                        return True
-                    membership[w] = count
-                continue
-            if rest.bit_count() < need - 1:
-                break
-            sub = rest & adj[v]
-            if sub.bit_count() >= need - 1:
-                chosen.append(v)
-                if scan(sub, chosen, need - 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return scan(common, [], k)
+    if k < 2 or common.bit_count() < k + 1:
+        return False  # two distinct k-sets sharing a vertex span >= k+1 vertices
+    seen = 0
+    for clique in _extend_cliques(adj, common, k):
+        for w in clique:
+            if seen >> w & 1:
+                return True
+            seen |= 1 << w
+    return False
 
 
 def clean_subgraph(graph: OrderedGraph, ell: int) -> OrderedGraph:
@@ -324,30 +304,48 @@ def write_graph(graph: OrderedGraph, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_records(path: str, what: str, header: str,
+                  row: str) -> list[tuple[int, tuple]]:
+    """Read a text file of whitespace-separated numbers: one header line,
+    then one record per line.
+
+    ``header`` and ``row`` name the fields, e.g. "n m" and "u v c"; every
+    field is an integer except a weight ``w``, which is a float.  Blank lines
+    are skipped but counted, so every error names the physical line.
+    Returns (line number, values) for the header and then for each record.
+    """
+    with open(path) as fh:
+        lines = [(idx, line.strip()) for idx, line in enumerate(fh, start=1)]
+    lines = [(idx, line) for idx, line in lines if line]
+    if not lines:
+        raise ValueError(f"empty {what} file")
+    out = []
+    for idx, line in lines:
+        fields = row if out else header
+        names, tokens = fields.split(), line.split()
+        try:
+            if len(tokens) != len(names):
+                raise ValueError
+            values = tuple(float(tok) if name == "w" else int(tok)
+                           for name, tok in zip(names, tokens))
+        except ValueError:
+            raise ValueError(f"line {idx}: expected {fields!r}, got {line!r}") from None
+        out.append((idx, values))
+    return out
+
+
 def read_graph(path: str) -> OrderedGraph:
     """Read the graph text format.
 
     Lines may appear in any order but duplicate edges, loops, and endpoints
     outside {1,...,n} are rejected with the offending line number.
     """
-    with open(path) as fh:
-        raw = [line.strip() for line in fh]
-    lines = [line for line in raw if line]
-    if not lines:
-        raise ValueError("empty graph file")
-    try:
-        n, m = (int(tok) for tok in lines[0].split())
-    except ValueError as exc:
-        raise ValueError(f"line 1: malformed header {lines[0]!r}") from exc
-    if len(lines) - 1 != m:
-        raise ValueError(f"header announces {m} edges, file has {len(lines) - 1}")
+    (_, (n, m)), *records = _read_records(path, "graph", "n m", "u v")
+    if len(records) != m:
+        raise ValueError(f"header announces {m} edges, file has {len(records)}")
     edges: list[Edge] = []
     seen: set[Edge] = set()
-    for idx, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {idx}: expected 'u v', got {line!r}")
-        u, v = int(parts[0]), int(parts[1])
+    for idx, (u, v) in records:
         if u == v:
             raise ValueError(f"line {idx}: loop at vertex {u}")
         edge = normalise_edge(u, v)

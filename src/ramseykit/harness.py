@@ -109,6 +109,8 @@ class ExperimentConfig:
             raise ValueError("n_grid must list positive vertex counts")
         if not self.c_grid or any(c <= 0 for c in self.c_grid):
             raise ValueError("c_grid must list positive reals")
+        if len(set(self.n_grid)) != len(self.n_grid) or len(set(self.c_grid)) != len(self.c_grid):
+            raise ValueError("n_grid and c_grid values must be distinct")
         if self.exponent_mode not in EXPONENT_MODES:
             raise ValueError(f"exponent_mode must be one of {EXPONENT_MODES}")
         if self.predicate not in PREDICATES:

@@ -15,7 +15,7 @@ from .colouring import (
     _classify,
     witness_for,
 )
-from .graphs import OrderedGraph, bits, enumerate_cliques, vertex_mask
+from .graphs import OrderedGraph, _extend_cliques, bits, enumerate_cliques, vertex_mask
 
 __all__ = [
     "ArrowQuery",
@@ -114,42 +114,23 @@ def find_rainbow_copy(phi: EdgeColouring, ell: int,
     """
     if ell < 3:
         raise ValueError("ell must be >= 3")
-    host = phi.host
-    adj = host._adj
-    mask = vertex_mask(host, within)
+    colour_of = phi._map
     nodes = 0
+    # used[d]: the colours on the edges among the first d prefix vertices
+    used: list[frozenset[int]] = [frozenset()] * (ell + 1)
 
-    prefix: list[int] = []
-    used: set[int] = set()
-
-    def grow(cand: int, need: int) -> Optional[tuple[int, ...]]:
+    def admit(prefix: list[int], v: int) -> bool:
         nonlocal nodes
-        rest = cand
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            if rest.bit_count() + 1 < need:
-                return None
-            nodes += 1
-            new_colours = [phi.colour(u, v) for u in prefix]
-            if len(set(new_colours)) != len(new_colours) or used.intersection(new_colours):
-                continue
-            if need == 1:
-                return tuple(prefix) + (v,)
-            sub = rest & adj[v]
-            if sub.bit_count() < need - 1:
-                continue
-            prefix.append(v)
-            used.update(new_colours)
-            hit = grow(sub, need - 1)
-            used.difference_update(new_colours)
-            prefix.pop()
-            if hit is not None:
-                return hit
-        return None
+        nodes += 1
+        seen = used[len(prefix)]
+        grown = seen.union([colour_of[u, v] for u in prefix])
+        if len(grown) != len(seen) + len(prefix):
+            return False
+        used[len(prefix) + 1] = grown
+        return True
 
-    tup = grow(mask, ell)
+    mask = vertex_mask(phi.host, within)
+    tup = next(_extend_cliques(phi.host._adj, mask, ell, admit), None)
     if tup is None:
         return SearchOutcome(False, None, nodes)
     witness = witness_for(phi, tup)

@@ -415,6 +415,13 @@ class TestColouringObject:
         with pytest.raises(ValueError, match="line 4"):
             read_colouring(str(path), g)
 
+    def test_io_rejects_endpoint_outside_host(self, tmp_path):
+        g = OrderedGraph.complete(3)
+        path = tmp_path / "c.txt"
+        path.write_text("3 3\n1 2 0\n1 3 0\n4 5 1\n")
+        with pytest.raises(ValueError, match="line 4"):
+            read_colouring(str(path), g)
+
     def test_io_rejects_incomplete_cover(self, tmp_path):
         g = OrderedGraph.complete(3)
         path = tmp_path / "c.txt"

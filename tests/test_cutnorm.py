@@ -328,6 +328,12 @@ class TestWeightedGraphObject:
         assert back.n == 7
         assert np.array_equal(back.w, f.w)
 
+    def test_io_names_line_of_non_numeric_weight(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("3\n1 2 0.5\n1 3 x\n2 3 0.25\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_weighted(str(path))
+
     def test_io_rejects_wrong_pair_order(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("3\n1 2 0.5\n2 3 0.25\n1 3 0.75\n")

@@ -25,6 +25,24 @@ def brute_cliques(graph, ell):
     return out
 
 
+def brute_clean(graph, ell):
+    """Independent oracle for the lexicographic cleaning scan: list every
+    K_ell through the edge by testing vertex subsets directly; two of them
+    share >= 3 vertices iff their parts outside the edge meet."""
+    edges = set(graph.edges)
+
+    def is_clique(vertices):
+        return all(pair in edges for pair in itertools.combinations(sorted(vertices), 2))
+
+    for u, v in graph.edges:
+        others = [w for w in graph.vertices if w not in (u, v)]
+        through = [set(rest) for rest in itertools.combinations(others, ell - 2)
+                   if is_clique(rest + (u, v))]
+        if any(a & b for a, b in itertools.combinations(through, 2)):
+            edges.discard((u, v))
+    return OrderedGraph(graph.n, edges)
+
+
 class TestGnp:
     def test_p_zero_is_empty(self):
         assert gnp_generate(5, 0.0, 7).graph.edge_count == 0
@@ -151,6 +169,12 @@ class TestCleanSubgraph:
             assert clean_subgraph(cleaned, 4) == cleaned
             assert clean_subgraph(g, 4) == cleaned
 
+    @pytest.mark.parametrize("ell", [4, 5, 6])
+    def test_matches_brute_force_scan(self, ell):
+        for seed in range(6):
+            g = gnp_generate(11 + seed % 3, 0.65 + 0.05 * seed, seed).graph
+            assert clean_subgraph(g, ell) == brute_clean(g, ell), f"seed {seed}"
+
     def test_structural_invariants(self):
         for seed in range(5):
             g = gnp_generate(35, 0.35, seed).graph
@@ -194,6 +218,18 @@ class TestGraphIO:
         path = tmp_path / "g.txt"
         path.write_text("4 1\n2 2\n")
         with pytest.raises(ValueError, match="loop"):
+            read_graph(str(path))
+
+    def test_reader_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("3 1\n\n1 1\n")
+        with pytest.raises(ValueError, match="line 3: loop"):
+            read_graph(str(path))
+
+    def test_reader_names_line_of_non_integer_token(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("3 1\n1 x\n")
+        with pytest.raises(ValueError, match="line 2"):
             read_graph(str(path))
 
     def test_reader_rejects_out_of_range(self, tmp_path):

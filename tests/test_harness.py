@@ -91,6 +91,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(predicate="weird")
 
+    @pytest.mark.parametrize("grid", [{"n_grid": (30, 30)}, {"c_grid": (1.0, 1)}])
+    def test_rejects_duplicate_grid_values(self, grid):
+        # a repeated value would merge two cells and count seed-identical trials twice
+        with pytest.raises(ValueError, match="distinct"):
+            small_config(**grid)
+
 
 class TestSweep:
     def test_records_sorted_and_reproducible(self):
