@@ -80,28 +80,26 @@ class AdversarySpec:
         )
 
 
-def _greedy_proper(graph: OrderedGraph) -> dict:
-    used_at: list[set[int]] = [set() for _ in range(graph.n + 1)]
-    mapping = {}
+def _greedy_proper(graph: OrderedGraph) -> list[int]:
+    used = [0] * (graph.n + 1)  # bitmask of the colours at each vertex
+    colours = []
     for u, v in graph.edges:
-        taken = used_at[u] | used_at[v]
-        c = 0
-        while c in taken:
-            c += 1
-        mapping[(u, v)] = c
-        used_at[u].add(c)
-        used_at[v].add(c)
-    return mapping
+        taken = used[u] | used[v]
+        least = ~taken & (taken + 1)  # lowest colour absent at both ends
+        colours.append(least.bit_length() - 1)
+        used[u] |= least
+        used[v] |= least
+    return colours
 
 
-def _bounded_random(graph: OrderedGraph, spec: AdversarySpec) -> dict:
+def _bounded_random(graph: OrderedGraph, spec: AdversarySpec) -> list[int]:
     palette = spec.r if spec.r is not None else graph.n
     lam = spec.lam
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     # multiplicity[v][c] = edges of colour c already incident to v
     multiplicity: list[dict[int, int]] = [dict() for _ in range(graph.n + 1)]
     fresh = palette
-    mapping = {}
+    colours = []
     for u, v in graph.edges:
         chosen = None
         for _ in range(_REDRAW_LIMIT):
@@ -112,10 +110,10 @@ def _bounded_random(graph: OrderedGraph, spec: AdversarySpec) -> dict:
         if chosen is None:
             chosen = fresh  # fresh id: multiplicity 1 at both ends
             fresh += 1
-        mapping[(u, v)] = chosen
+        colours.append(chosen)
         multiplicity[u][chosen] = multiplicity[u].get(chosen, 0) + 1
         multiplicity[v][chosen] = multiplicity[v].get(chosen, 0) + 1
-    return mapping
+    return colours
 
 
 def generate_colouring(graph: OrderedGraph, spec: AdversarySpec) -> EdgeColouring:
@@ -123,21 +121,20 @@ def generate_colouring(graph: OrderedGraph, spec: AdversarySpec) -> EdgeColourin
     edges = graph.edges
     if spec.kind == "RandomR":
         rng = np.random.Generator(np.random.PCG64(spec.seed))
-        draws = rng.integers(0, spec.r, size=len(edges))
-        mapping = {edge: int(c) for edge, c in zip(edges, draws)}
+        colours = rng.integers(0, spec.r, size=len(edges)).tolist()
     elif spec.kind == "Injective":
-        mapping = {edge: i for i, edge in enumerate(edges)}
+        colours = range(len(edges))
     elif spec.kind == "MinOrder":
-        mapping = {(u, v): u for u, v in edges}
+        colours = [u for u, _ in edges]
     elif spec.kind == "MaxOrder":
-        mapping = {(u, v): v for u, v in edges}
+        colours = [v for _, v in edges]
     elif spec.kind == "GreedyProper":
-        mapping = _greedy_proper(graph)
+        colours = _greedy_proper(graph)
     elif spec.kind == "BoundedRandom":
-        mapping = _bounded_random(graph, spec)
+        colours = _bounded_random(graph, spec)
     else:  # pragma: no cover - guarded by AdversarySpec
         raise ValueError(f"unknown adversary kind {spec.kind!r}")
-    return EdgeColouring(graph, mapping)
+    return EdgeColouring._trusted(graph, colours)
 
 
 def verify_properness(phi: EdgeColouring) -> bool:

@@ -85,6 +85,15 @@ class EdgeColouring:
         self.host = host
         self._map = norm
 
+    @classmethod
+    def _trusted(cls, host: OrderedGraph, colours: Iterable[int]) -> "EdgeColouring":
+        """Give ``host.edges[i]`` the i-th of ``colours``, which the library
+        computed itself as one non-negative int per edge, without checking."""
+        phi = cls.__new__(cls)
+        phi.host = host
+        phi._map = dict(zip(host.edges, colours))
+        return phi
+
     def colour(self, u: int, v: int) -> int:
         return self._map[normalise_edge(u, v)]
 
@@ -103,13 +112,8 @@ class EdgeColouring:
     def relabel_dense(self) -> "EdgeColouring":
         """Relabel colours to 0..k-1 by first appearance in edge order."""
         table: dict[int, int] = {}
-        remapped = {}
-        for edge in self.host.edges:
-            c = self._map[edge]
-            if c not in table:
-                table[c] = len(table)
-            remapped[edge] = table[c]
-        return EdgeColouring(self.host, remapped)
+        return EdgeColouring._trusted(
+            self.host, [table.setdefault(c, len(table)) for _, c in self.items()])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColouring):
@@ -448,7 +452,7 @@ def read_colouring(path: str, host: OrderedGraph) -> EdgeColouring:
     for idx, (u, v, c) in records:
         if not u < v:
             raise ValueError(f"line {idx}: endpoints must satisfy u < v")
-        if not (1 <= u and v <= host.n and host.has_edge(u, v)):
+        if not host.has_edge(u, v):
             raise ValueError(f"line {idx}: ({u},{v}) is not an edge of the host")
         if (u, v) in mapping:
             raise ValueError(f"line {idx}: duplicate edge ({u},{v})")
@@ -457,4 +461,4 @@ def read_colouring(path: str, host: OrderedGraph) -> EdgeColouring:
         mapping[(u, v)] = c
     if len(mapping) != host.edge_count:
         raise ValueError("colouring does not cover every host edge")
-    return EdgeColouring(host, mapping)
+    return EdgeColouring._trusted(host, [mapping[edge] for edge in host.edges])

@@ -73,8 +73,23 @@ class OrderedGraph:
         self._edges = tuple(sorted(seen))
 
     @classmethod
+    def _trusted(cls, n: int, adj: list[int], edges: tuple[Edge, ...]) -> "OrderedGraph":
+        """Wrap bitset rows and their lexicographically sorted edge tuple as
+        computed by the library itself, without checking them again."""
+        graph = cls.__new__(cls)
+        graph.n = n
+        graph._adj = adj
+        graph._edges = edges
+        return graph
+
+    @classmethod
     def complete(cls, n: int) -> "OrderedGraph":
-        return cls(n, [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)])
+        if n < 1:
+            raise ValueError("vertex count must be >= 1")
+        full = ((1 << (n + 1)) - 1) & ~1
+        adj = [0] + [full & ~(1 << v) for v in range(1, n + 1)]
+        edges = tuple((u, v) for u in range(1, n) for v in range(u + 1, n + 1))
+        return cls._trusted(n, adj, edges)
 
     @classmethod
     def empty(cls, n: int) -> "OrderedGraph":
@@ -103,9 +118,8 @@ class OrderedGraph:
         return self._adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return bool(self._adj[u] >> v & 1)
+        """Is uv an edge?  False whenever an endpoint lies outside {1,...,n}."""
+        return 1 <= u <= self.n and 1 <= v <= self.n and bool(self._adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()
@@ -175,7 +189,13 @@ def _sample_pairs(n: int, probs: float | np.ndarray, seed: int) -> OrderedGraph:
     draws = rng.random(n * (n - 1) // 2)
     iu, iv = np.triu_indices(n, k=1)
     chosen = draws < probs
-    return OrderedGraph(n, [(int(u) + 1, int(v) + 1) for u, v in zip(iu[chosen], iv[chosen])])
+    us, vs = iu[chosen] + 1, iv[chosen] + 1
+    mask = np.zeros((n + 1, n + 1), dtype=bool)
+    mask[us, vs] = True
+    mask[vs, us] = True
+    rows = np.packbits(mask, axis=1, bitorder="little")
+    adj = [int.from_bytes(row, "little") for row in rows]
+    return OrderedGraph._trusted(n, adj, tuple(zip(us.tolist(), vs.tolist())))
 
 
 def _extend_cliques(adj: Sequence[int], cand: int, need: int,
@@ -293,7 +313,7 @@ def clean_subgraph(graph: OrderedGraph, ell: int) -> OrderedGraph:
             adj[v] &= ~(1 << u)
         else:
             kept.append((u, v))
-    return OrderedGraph(graph.n, kept)
+    return OrderedGraph._trusted(graph.n, adj, tuple(kept))
 
 
 def write_graph(graph: OrderedGraph, path: str) -> None:

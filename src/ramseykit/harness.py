@@ -237,10 +237,9 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return lo, hi
 
 
-def _run_trial(config: ExperimentConfig, n: int, c_index: int,
+def _run_trial(config: ExperimentConfig, n: int, c_index: int, p: float,
                trial: int) -> TrialRecord:
     c = config.c_grid[c_index]
-    p = config.p_for(n, c)
     seed = derive_seed(config.master_seed, n, c_index, trial)
     graph = gnp_generate(n, p, seed).graph
     if config.clean_mode:
@@ -284,9 +283,10 @@ def _run_trial(config: ExperimentConfig, n: int, c_index: int,
 
 def _trial_args(config: ExperimentConfig):
     for n in config.n_grid:
-        for c_index in range(len(config.c_grid)):
+        for c_index, c in enumerate(config.c_grid):
+            p = config.p_for(n, c)  # once per cell, so a clamp is logged once
             for trial in range(config.trials):
-                yield (config, n, c_index, trial)
+                yield (config, n, c_index, p, trial)
 
 
 def _run_trial_star(args) -> TrialRecord:

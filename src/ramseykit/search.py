@@ -154,7 +154,7 @@ def arrows_mono(graph: OrderedGraph, query: ArrowQuery,
     m = len(edges)
     cliques = [tuple(tup) for tup in enumerate_cliques(graph, query.ell)]
     if not cliques:
-        witness = EdgeColouring(graph, {e: 0 for e in edges})
+        witness = EdgeColouring._trusted(graph, [0] * m)
         return ArrowOutcome(False, witness, 0)
 
     edge_index = {e: i for i, e in enumerate(edges)}
@@ -244,7 +244,7 @@ def arrows_mono(graph: OrderedGraph, query: ArrowQuery,
         return False
 
     if solve(0):
-        witness = EdgeColouring(graph, {e: colour[i] for i, e in enumerate(edges)})
+        witness = EdgeColouring._trusted(graph, colour)
         return ArrowOutcome(False, witness, nodes)
     return ArrowOutcome(True, None, nodes)
 
@@ -301,6 +301,6 @@ def canonical_arrow_exhaustive(graph: OrderedGraph, ell: int) -> ExhaustiveArrow
             for tup in cliques
         )
         if not hit:
-            counterexample = EdgeColouring(graph, dict(assignment))
+            counterexample = EdgeColouring._trusted(graph, rgs)
             return ExhaustiveArrowOutcome(False, checked, counterexample)
     return ExhaustiveArrowOutcome(True, checked, None)

@@ -422,6 +422,13 @@ class TestColouringObject:
         with pytest.raises(ValueError, match="line 4"):
             read_colouring(str(path), g)
 
+    def test_io_rejects_negative_endpoint(self, tmp_path):
+        g = OrderedGraph.complete(3)
+        path = tmp_path / "c.txt"
+        path.write_text("3 3\n1 2 0\n-1 3 0\n2 3 1\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_colouring(str(path), g)
+
     def test_io_rejects_incomplete_cover(self, tmp_path):
         g = OrderedGraph.complete(3)
         path = tmp_path / "c.txt"

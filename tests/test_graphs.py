@@ -264,3 +264,8 @@ class TestOrderedGraph:
         assert g.degree(2) == 2
         assert g.has_edge(4, 2)
         assert not g.has_edge(1, 4)
+
+    @pytest.mark.parametrize("u,v", [(-1, 2), (2, -1), (0, 1), (5, 1), (1, 5), (4, 4)])
+    def test_has_edge_false_outside_vertex_set(self, u, v):
+        # a negative index must not wrap around to vertex n
+        assert not OrderedGraph.complete(3).has_edge(u, v)

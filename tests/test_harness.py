@@ -83,6 +83,14 @@ class TestConfig:
             assert cfg.p_for(24, 1000.0) == 1.0
         assert any("clamped" in rec.message for rec in caplog.records)
 
+    def test_p_clamp_logged_once_per_cell(self, caplog):
+        cfg = small_config(n_grid=(24,), c_grid=(1000.0,), trials=5,
+                           adversary=AdversarySpec("Injective"))
+        with caplog.at_level(logging.WARNING, logger="ramseykit.harness"):
+            res = run_sweep(cfg)
+        assert len(res.records) == 5
+        assert sum("clamped" in rec.message for rec in caplog.records) == 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             small_config(trials=0)
@@ -255,4 +263,22 @@ class TestCorollaryMode:
             with pytest.raises(InvariantBreach):
                 verify_corollary_mode([forged])
         else:
+            verify_corollary_mode([forged])
+
+    @pytest.mark.parametrize("shift", [-25, 25])
+    def test_out_of_range_witness_is_a_breach(self, shift):
+        # the real witness with its last vertex moved outside {1,...,24} and
+        # put first: a negative index must not wrap back onto that vertex
+        cfg = small_config(clean_mode=True, n_grid=(24,), c_grid=(1.5,), trials=5,
+                           adversary=AdversarySpec("Injective"))
+        rec = next(r for r in run_sweep(cfg).records if r.found)
+        verify_corollary_mode([rec])
+        *rest, last = rec.witness
+        forged = TrialRecord(
+            ell=rec.ell, n=rec.n, c=rec.c, p=rec.p, adversary=rec.adversary,
+            clean=rec.clean, trial=rec.trial, seed=rec.seed, found=True,
+            pattern=rec.pattern, elapsed_ms=rec.elapsed_ms,
+            witness=(last + shift, *rest),
+        )
+        with pytest.raises(InvariantBreach):
             verify_corollary_mode([forged])
