@@ -279,10 +279,20 @@ def _has_conflicting_clique_pair(adj: Sequence[int], common: int, k: int) -> boo
     Used by the cleaning scan with k = ell-2: two K_ell through a fixed edge
     intersect in >= 3 vertices iff their residual (ell-2)-cliques inside the
     common neighbourhood share a vertex.  For k = 1 distinct singletons are
-    disjoint, so the answer is always False.
+    disjoint, so the answer is always False.  For k = 2 the cliques are
+    edges, and two distinct edges inside ``common`` share a vertex iff some
+    vertex of ``common`` has two neighbours inside ``common``.
     """
     if k < 2 or common.bit_count() < k + 1:
         return False  # two distinct k-sets sharing a vertex span >= k+1 vertices
+    if k == 2:
+        rest = common
+        while rest:
+            low = rest & -rest
+            if (adj[low.bit_length() - 1] & common).bit_count() >= 2:
+                return True
+            rest ^= low
+        return False
     seen = 0
     for clique in _extend_cliques(adj, common, k):
         for w in clique:
@@ -298,12 +308,14 @@ def clean_subgraph(graph: OrderedGraph, ell: int) -> OrderedGraph:
 
     The scan order makes the result unique and deterministic.  For ell = 3
     the removal condition is vacuous (two distinct triangles share at most
-    two vertices) and the graph is returned unchanged.  For ell >= 4 the
+    two vertices) and the graph itself is returned.  For ell >= 4 the
     result contains no K_{ell+1} and no two K_ell's sharing >= 3 vertices,
     and the operation is idempotent.
     """
     if ell < 3:
         raise ValueError("ell must be >= 3")
+    if ell == 3:
+        return graph
     adj = list(graph._adj)
     kept: list[Edge] = []
     for u, v in graph.edges:

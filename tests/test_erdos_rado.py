@@ -221,6 +221,16 @@ class TestDriver:
             count += 1
         assert count == 203
 
+    @pytest.mark.parametrize("n, branch", [(215, "exhaustive"), (216, "sampling")])
+    def test_injective_sampling_branch_boundary(self, n, branch):
+        # Injective colour degrees are 1, and a set S with >= 2 vertices is
+        # delta-bounded iff 1 <= delta |S| / 2: from n = 2/delta = 8 ell^3 = 216
+        # the whole vertex set is bounded, below it the sequence shrinks to 1.
+        phi = generate_colouring(OrderedGraph.complete(n), AdversarySpec("Injective"))
+        res = er_find(phi, 3)
+        assert res.branch == branch
+        assert PatternTag.RAINBOW in classify_copy(phi, res.witness.vertices)
+
     def test_no_witness_on_k3_aba(self):
         host = OrderedGraph.complete(3)
         phi = EdgeColouring(host, {(1, 2): 0, (1, 3): 1, (2, 3): 0})

@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ramseykit import (
     OrderedGraph,
@@ -14,6 +16,7 @@ from ramseykit import (
     read_graph,
     write_graph,
 )
+from ramseykit.graphs import _has_conflicting_clique_pair
 
 
 def brute_cliques(graph, ell):
@@ -41,6 +44,30 @@ def brute_clean(graph, ell):
         if any(a & b for a, b in itertools.combinations(through, 2)):
             edges.discard((u, v))
     return OrderedGraph(graph.n, edges)
+
+
+def brute_conflict(graph, common, k):
+    """Independent oracle for the cleaning test: do two distinct k-subsets
+    of ``common`` both induce cliques and share a vertex?"""
+    members = [w for w in graph.vertices if common >> w & 1]
+    cliques = [set(c) for c in itertools.combinations(members, k)
+               if all(graph.has_edge(a, b) for a, b in itertools.combinations(c, 2))]
+    return any(a & b for a, b in itertools.combinations(cliques, 2))
+
+
+@st.composite
+def graphs_with_mask(draw):
+    n = draw(st.integers(1, 10))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    # a uniform mask keeps each pair with probability 1/2; AND-ing (OR-ing)
+    # j more masks into it lowers (raises) that to 2^-(j+1) (1 - 2^-(j+1))
+    sparse = draw(st.booleans())
+    mask = draw(st.integers(0, 2 ** len(pairs) - 1))
+    for _ in range(draw(st.integers(0, 2))):
+        other = draw(st.integers(0, 2 ** len(pairs) - 1))
+        mask = mask & other if sparse else mask | other
+    graph = OrderedGraph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+    return graph, draw(st.integers(0, 2 ** n - 1)) << 1
 
 
 class TestGnp:
@@ -151,6 +178,22 @@ class TestCleanSubgraph:
             g = gnp_generate(20, 0.4, seed).graph
             assert clean_subgraph(g, 3) == g
 
+    def test_ell_3_returns_input(self):
+        g = gnp_generate(20, 0.4, 0).graph
+        assert clean_subgraph(g, 3) is g
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_mask(), st.integers(1, 4))
+    # a path 1-2-3 (its middle vertex has two neighbours, each end one), one
+    # edge beside an isolated vertex, and two disjoint edges
+    @example((OrderedGraph(3, [(1, 2), (2, 3)]), 0b1110), 2)
+    @example((OrderedGraph(3, [(1, 3)]), 0b1110), 2)
+    @example((OrderedGraph(4, [(1, 2), (3, 4)]), 0b11110), 2)
+    def test_conflict_test_matches_brute_force(self, graph_and_common, k):
+        graph, common = graph_and_common
+        adj = [0] + [graph.adjacency(v) for v in graph.vertices]
+        assert _has_conflicting_clique_pair(adj, common, k) == brute_conflict(graph, common, k)
+
     def test_k5_ell4_regression(self):
         # frozen from a direct simulation of the lexicographic scan
         cleaned = clean_subgraph(OrderedGraph.complete(5), 4)
@@ -174,6 +217,13 @@ class TestCleanSubgraph:
         for seed in range(6):
             g = gnp_generate(11 + seed % 3, 0.65 + 0.05 * seed, seed).graph
             assert clean_subgraph(g, ell) == brute_clean(g, ell), f"seed {seed}"
+
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_ell_4_matches_brute_force_on_gnp(self, n, p):
+        for seed in range(3):
+            g = gnp_generate(n, p, seed).graph
+            assert clean_subgraph(g, 4) == brute_clean(g, 4), f"seed {seed}"
 
     def test_structural_invariants(self):
         for seed in range(5):
