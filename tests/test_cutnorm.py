@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ramseykit import (
+    EXACT_CUTNORM_GUARD,
     HypothesisViolated,
     OrderedGraph,
     PatternGraph,
@@ -48,6 +49,19 @@ def brute_cutnorm(f):
                 for ws in itertools.combinations(verts, rw):
                     best = max(best, abs(eval_e(f, us, ws)))
     return best / f.n**2
+
+
+def single_block_cutnorm(f):
+    """Reference: column sums of every U from one membership matmul per chunk,
+    maximising sum max(s, 0) and sum max(-s, 0) separately."""
+    n = f.n
+    best = 0.0
+    for start in range(0, 1 << n, 1 << 14):
+        idx = np.arange(start, min(start + (1 << 14), 1 << n))
+        sums = ((idx[:, None] >> np.arange(n)) & 1).astype(np.float64) @ f.w
+        best = max(best, np.maximum(sums, 0.0).sum(axis=1).max(),
+                   np.maximum(-sums, 0.0).sum(axis=1).max())
+    return best / n**2
 
 
 def brute_hom_density(f, pattern):
@@ -106,6 +120,29 @@ class TestCutnormExact:
             assert cutnorm_exact(f) >= 0.0
             assert cutnorm_exact(alpha * f) == pytest.approx(abs(alpha) * cutnorm_exact(f))
             assert cutnorm_exact(f + g) <= cutnorm_exact(f) + cutnorm_exact(g) + 1e-12
+
+
+class TestCutnormBlockSplit:
+    """The low/high block split against the single-block reference, with
+    halved blocks up to n = 16 and a 12-row low block from n = 17."""
+
+    @pytest.mark.parametrize("kind", ["signed", "unit", "half"])
+    @pytest.mark.parametrize("n", [1, 2, 11, 12, 13, 14, 16, 17])
+    def test_matches_single_block_reference(self, n, kind):
+        rng = np.random.default_rng(n)
+        if kind == "signed":
+            f = random_weights(n, rng, lo=-1.0, hi=1.0)
+        elif kind == "unit":
+            f = random_weights(n, rng)
+        else:
+            upper = np.triu(np.where(rng.random((n, n)) < 0.5, 0.5, -0.5), 1)
+            f = WeightedGraph(upper + upper.T)
+        assert cutnorm_exact(f) == pytest.approx(single_block_cutnorm(f), rel=1e-12)
+
+    @pytest.mark.parametrize("value", [1.0, -1.0])
+    def test_constant_at_guard(self, value):
+        n = EXACT_CUTNORM_GUARD
+        assert cutnorm_exact(WeightedGraph.constant(n, value)) == pytest.approx((n - 1) / n)
 
 
 class TestCutnormHeuristic:
@@ -319,6 +356,22 @@ class TestWeightedGraphObject:
         bad[0, 1] = 1.0
         with pytest.raises(ValueError):
             WeightedGraph(bad)  # asymmetric
+
+    @pytest.mark.parametrize("make", [
+        lambda: WeightedGraph.zeros(0),
+        lambda: WeightedGraph.constant(0, 1.0),
+        lambda: WeightedGraph(np.zeros((0, 0))),
+    ], ids=["zeros", "constant", "matrix"])
+    def test_rejects_no_vertices(self, make):
+        with pytest.raises(ValueError, match="vertex count must be >= 1"):
+            make()
+
+    @pytest.mark.parametrize("header", ["0", "-1"])
+    def test_io_rejects_vertex_count_below_one(self, tmp_path, header):
+        path = tmp_path / "w.txt"
+        path.write_text(f"\n{header}\n")
+        with pytest.raises(ValueError, match="line 2: vertex count must be >= 1"):
+            read_weighted(str(path))
 
     def test_io_round_trip(self, tmp_path):
         f = random_weights(7, np.random.default_rng(6))
