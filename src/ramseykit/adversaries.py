@@ -72,6 +72,9 @@ class AdversarySpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "AdversarySpec":
+        unknown = sorted(set(data) - {"kind", "r", "lambda", "seed"})
+        if unknown:
+            raise ValueError(f"unknown adversary keys: {', '.join(unknown)}")
         return cls(
             kind=data["kind"],
             r=data.get("r"),

@@ -10,9 +10,9 @@ import sys
 from typing import Optional, Sequence
 
 from .adversaries import AdversarySpec, generate_colouring
-from .colouring import read_colouring, write_colouring
+from .colouring import CanonicalWitness, read_colouring, write_colouring
 from .erdos_rado import NoWitness, er_find
-from .graphs import OrderedGraph, read_graph
+from .graphs import OrderedGraph, _write_lines, read_graph
 from .harness import (
     ExperimentConfig,
     run_sweep,
@@ -39,6 +39,13 @@ def _parse_vertices(text: Optional[str]) -> Optional[list[int]]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
+def _print_witness(label: str, ell: int, witness: CanonicalWitness) -> None:
+    tags = ", ".join(sorted(t.value for t in witness.tags))
+    print(f"{label} K_{ell} on {witness.vertices} with tags: {tags}")
+    for (u, v), c in witness.evidence:
+        print(f"  edge {u} {v} colour {c}")
+
+
 def _cmd_find(args: argparse.Namespace) -> int:
     graph = read_graph(args.graph)
     phi = read_colouring(args.colouring, graph)
@@ -52,19 +59,14 @@ def _cmd_find(args: argparse.Namespace) -> int:
               f"({outcome.nodes_explored} nodes explored)")
         return 1
     witness = outcome.witness
-    tags = ", ".join(sorted(t.value for t in witness.tags))
-    print(f"found K_{args.ell} on {witness.vertices} with tags: {tags}")
-    for (u, v), c in witness.evidence:
-        print(f"  edge {u} {v} colour {c}")
+    _print_witness("found", args.ell, witness)
     if args.witness_out:
         payload = {
             "vertices": list(witness.vertices),
             "tags": sorted(t.value for t in witness.tags),
             "evidence": [[u, v, c] for (u, v), c in witness.evidence],
         }
-        with open(args.witness_out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_lines(args.witness_out, [json.dumps(payload, indent=2)])
         print(f"witness written to {args.witness_out}")
     return 0
 
@@ -106,11 +108,7 @@ def _cmd_er_demo(args: argparse.Namespace) -> int:
             suffix = "..." if len(survivors) > 8 else ""
             print(f"  v={step.vertex} c={step.colour} {step.direction} "
                   f"|S|={len(survivors)} S={shown}{suffix}")
-    witness = result.witness
-    tags = ", ".join(sorted(t.value for t in witness.tags))
-    print(f"witness K_{args.ell} on {witness.vertices} with tags: {tags}")
-    for (u, v), c in witness.evidence:
-        print(f"  edge {u} {v} colour {c}")
+    _print_witness("witness", args.ell, result.witness)
     return 0
 
 

@@ -8,7 +8,8 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .graphs import Edge, OrderedGraph, _read_records, bits, normalise_edge, vertex_mask
+from .graphs import (Edge, OrderedGraph, _read_records, _write_lines, bits, normalise_edge,
+                     vertex_mask)
 
 __all__ = [
     "EdgeColouring",
@@ -431,11 +432,8 @@ def greedy_colour_partition(weights: Mapping[int, int], cap: int) -> list[list[i
 
 def write_colouring(phi: EdgeColouring, path: str) -> None:
     """Write the text format: header "n m", then sorted lines "u v c"."""
-    host = phi.host
-    lines = [f"{host.n} {host.edge_count}"]
-    lines.extend(f"{u} {v} {c}" for (u, v), c in phi.items())
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (f"{u} {v} {c}" for (u, v), c in phi.items())
+    _write_lines(path, [f"{phi.host.n} {phi.host.edge_count}", *rows])
 
 
 def read_colouring(path: str, host: OrderedGraph) -> EdgeColouring:

@@ -11,7 +11,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import Edge, OrderedGraph, _read_records, _sample_pairs, count_cliques, normalise_edge
+from .graphs import (Edge, OrderedGraph, _read_records, _sample_pairs, _write_lines, count_cliques,
+                     normalise_edge)
 
 __all__ = [
     "WeightedGraph",
@@ -376,12 +377,8 @@ def is_strictly_balanced(pattern: PatternGraph) -> bool:
 
 def write_weighted(f: WeightedGraph, path: str) -> None:
     """Write "n" then n(n-1)/2 lines "u v w" in lexicographic pair order."""
-    lines = [str(f.n)]
-    for u in range(1, f.n):
-        for v in range(u + 1, f.n + 1):
-            lines.append(f"{u} {v} {float(f.w[u - 1, v - 1])!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, [str(f.n), *(f"{u} {v} {float(f.w[u - 1, v - 1])!r}"
+                                    for u in range(1, f.n) for v in range(u + 1, f.n + 1))])
 
 
 def read_weighted(path: str) -> WeightedGraph:

@@ -330,8 +330,11 @@ def clean_subgraph(graph: OrderedGraph, ell: int) -> OrderedGraph:
 
 def write_graph(graph: OrderedGraph, path: str) -> None:
     """Write the text format: header "n m", then sorted lines "u v"."""
-    lines = [f"{graph.n} {graph.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in graph.edges)
+    _write_lines(path, [f"{graph.n} {graph.edge_count}", *(f"{u} {v}" for u, v in graph.edges)])
+
+
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write a text file: the lines, each ended by a newline."""
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -372,7 +375,9 @@ def read_graph(path: str) -> OrderedGraph:
     Lines may appear in any order but duplicate edges, loops, and endpoints
     outside {1,...,n} are rejected with the offending line number.
     """
-    (_, (n, m)), *records = _read_records(path, "graph", "n m", "u v")
+    (top, (n, m)), *records = _read_records(path, "graph", "n m", "u v")
+    if n < 1:
+        raise ValueError(f"line {top}: vertex count must be >= 1")
     if len(records) != m:
         raise ValueError(f"header announces {m} edges, file has {len(records)}")
     edges: list[Edge] = []

@@ -8,12 +8,13 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional, Sequence
 
 from .adversaries import AdversarySpec, generate_colouring
 from .colouring import PatternTag
-from .graphs import OrderedGraph, clean_subgraph, count_cliques, enumerate_cliques, gnp_generate
+from .graphs import (OrderedGraph, _write_lines, clean_subgraph, count_cliques,
+                     enumerate_cliques, gnp_generate)
 from .search import (
     ArrowQuery,
     DEFAULT_NODE_BUDGET,
@@ -146,6 +147,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown sweep config keys: {', '.join(unknown)}")
+        clean_mode = data.get("clean_mode", False)
+        if not isinstance(clean_mode, bool):
+            raise ValueError(f"clean_mode must be true or false, got {clean_mode!r}")
         return cls(
             ell=int(data["ell"]),
             n_grid=tuple(int(n) for n in data["n_grid"]),
@@ -154,7 +161,7 @@ class ExperimentConfig:
             trials=int(data["trials"]),
             master_seed=int(data["master_seed"]),
             exponent_mode=data.get("exponent_mode", "canonical"),
-            clean_mode=bool(data.get("clean_mode", False)),
+            clean_mode=clean_mode,
             predicate=data.get("predicate", "rainbow"),
             budget=int(data.get("budget", DEFAULT_NODE_BUDGET)),
         )
@@ -183,13 +190,7 @@ class TrialRecord:
     witness: Optional[tuple[int, ...]] = None
 
     def csv_row(self) -> str:
-        return ",".join([
-            str(self.ell), str(self.n), repr(self.c), repr(self.p),
-            self.adversary, "true" if self.clean else "false",
-            str(self.trial), str(self.seed),
-            "true" if self.found else "false", self.pattern,
-            str(self.elapsed_ms),
-        ])
+        return _csv_row(self, RECORD_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -206,11 +207,21 @@ class CellSummary:
     ci_hi: float
 
     def csv_row(self) -> str:
-        return ",".join([
-            str(self.ell), str(self.n), repr(self.c), repr(self.p),
-            self.adversary, str(self.trials), str(self.successes),
-            repr(self.p_hat), repr(self.ci_lo), repr(self.ci_hi),
-        ])
+        return _csv_row(self, SUMMARY_COLUMNS)
+
+
+def _values(row, columns: Sequence[str]) -> list:
+    """The fields of a record or summary in column order; column C reads
+    the attribute c."""
+    return [getattr(row, "c" if col == "C" else col) for col in columns]
+
+
+def _csv_row(row, columns: Sequence[str]) -> str:
+    return ",".join(
+        ("true" if v else "false") if isinstance(v, bool)
+        else repr(v) if isinstance(v, float) else str(v)
+        for v in _values(row, columns)
+    )
 
 
 @dataclass
@@ -237,8 +248,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return lo, hi
 
 
-def _run_trial(config: ExperimentConfig, n: int, c_index: int, p: float,
-               trial: int) -> TrialRecord:
+def _run_trial(args: tuple[ExperimentConfig, int, int, float, int]) -> TrialRecord:
+    config, n, c_index, p, trial = args
     c = config.c_grid[c_index]
     seed = derive_seed(config.master_seed, n, c_index, trial)
     graph = gnp_generate(n, p, seed).graph
@@ -250,28 +261,19 @@ def _run_trial(config: ExperimentConfig, n: int, c_index: int, p: float,
     found = False
     pattern = ""
     witness = None
-    if config.predicate == "rainbow":
-        outcome = find_rainbow_copy(phi, config.ell)
-        found = outcome.found
-        if outcome.found:
-            pattern = PatternTag.RAINBOW.value
-            witness = outcome.witness.vertices
-    elif config.predicate == "canonical":
-        outcome = find_canonical_copy(phi, config.ell)
-        found = outcome.found
-        if outcome.found:
-            for tag in _TAG_PRECEDENCE:
-                if tag in outcome.witness.tags:
-                    pattern = tag.value
-                    break
-            witness = outcome.witness.vertices
-    else:  # mono_after_2colour
+    if config.predicate == "mono_after_2colour":
         try:
-            arrow = arrows_mono(graph, ArrowQuery(config.ell, 2), config.budget)
-            found = arrow.arrows
+            found = arrows_mono(graph, ArrowQuery(config.ell, 2), config.budget).arrows
         except ResourceLimitError:
-            found = False
             pattern = "resource_limit"
+    else:
+        search = find_rainbow_copy if config.predicate == "rainbow" else find_canonical_copy
+        outcome = search(phi, config.ell)
+        found = outcome.found
+        if found:
+            # a rainbow K_ell (ell >= 3) carries no other strict tag
+            pattern = next(t.value for t in _TAG_PRECEDENCE if t in outcome.witness.tags)
+            witness = outcome.witness.vertices
     elapsed_ms = int(round((time.perf_counter() - start) * 1000))
 
     return TrialRecord(
@@ -289,61 +291,47 @@ def _trial_args(config: ExperimentConfig):
                 yield (config, n, c_index, p, trial)
 
 
-def _run_trial_star(args) -> TrialRecord:
-    return _run_trial(*args)
-
-
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Run every grid cell for ``trials`` independent trials.
 
-    Trials are embarrassingly parallel; results are gathered and sorted by
-    (n-index, C-index, trial) before emission, so scheduling never changes
-    the output.  Per-trial resource limits are recorded in the row, never
-    abort the sweep.
+    Trials are embarrassingly parallel.  Both maps keep input order, so the
+    records arrive cell by cell in grid order (n, then C, then trial) and
+    scheduling never changes the output.  Per-trial resource limits are
+    recorded in the row, never abort the sweep.
     """
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_run_trial_star, _trial_args(config), chunksize=8))
+            records = list(pool.map(_run_trial, _trial_args(config), chunksize=8))
     else:
-        records = [_run_trial(*args) for args in _trial_args(config)]
-
-    n_rank = {n: i for i, n in enumerate(config.n_grid)}
-    records.sort(key=lambda r: (n_rank[r.n], config.c_grid.index(r.c), r.trial))
+        records = list(map(_run_trial, _trial_args(config)))
 
     summaries = []
-    per_cell: dict[tuple[int, int], list[TrialRecord]] = {}
-    for rec in records:
-        per_cell.setdefault((n_rank[rec.n], config.c_grid.index(rec.c)), []).append(rec)
-    for (ni, ci) in sorted(per_cell):
-        cell = per_cell[(ni, ci)]
-        successes = sum(1 for r in cell if r.found)
-        lo, hi = wilson_interval(successes, len(cell))
+    k = config.trials
+    for start in range(0, len(records), k):
+        cell = records[start:start + k]
+        successes = sum(r.found for r in cell)
+        lo, hi = wilson_interval(successes, k)
         summaries.append(CellSummary(
             ell=config.ell, n=cell[0].n, c=cell[0].c, p=cell[0].p,
-            adversary=config.adversary.kind, trials=len(cell),
-            successes=successes, p_hat=successes / len(cell), ci_lo=lo, ci_hi=hi,
+            adversary=config.adversary.kind, trials=k,
+            successes=successes, p_hat=successes / k, ci_lo=lo, ci_hi=hi,
         ))
     return SweepResult(config, records, summaries)
 
 
 def write_records_csv(records: Sequence[TrialRecord], path: str) -> None:
-    lines = [",".join(RECORD_COLUMNS)]
-    lines.extend(rec.csv_row() for rec in records)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, [",".join(RECORD_COLUMNS), *(r.csv_row() for r in records)])
 
 
 def write_summary_csv(summaries: Sequence[CellSummary], path: str) -> None:
-    lines = [",".join(SUMMARY_COLUMNS)]
-    lines.extend(s.csv_row() for s in summaries)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, [",".join(SUMMARY_COLUMNS), *(s.csv_row() for s in summaries)])
 
 
 def write_json(result: SweepResult, path: str) -> None:
-    """JSON mirror of the CSV outputs, plus config and scope note."""
+    """JSON mirror of the CSV outputs, plus config and scope note; each
+    record also carries its witness."""
     payload = {
         "note": (
             "Success fractions are adversary-specific probes; deciding the "
@@ -351,28 +339,14 @@ def write_json(result: SweepResult, path: str) -> None:
         ),
         "config": result.config.to_json(),
         "records": [
-            {
-                "ell": r.ell, "n": r.n, "C": r.c, "p": r.p,
-                "adversary": r.adversary, "clean": r.clean, "trial": r.trial,
-                "seed": r.seed, "found": r.found, "pattern": r.pattern,
-                "elapsed_ms": r.elapsed_ms,
-                "witness": list(r.witness) if r.witness else None,
-            }
+            {**dict(zip(RECORD_COLUMNS, _values(r, RECORD_COLUMNS))),
+             "witness": list(r.witness) if r.witness else None}
             for r in result.records
         ],
-        "summaries": [
-            {
-                "ell": s.ell, "n": s.n, "C": s.c, "p": s.p,
-                "adversary": s.adversary, "trials": s.trials,
-                "successes": s.successes, "p_hat": s.p_hat,
-                "ci_lo": s.ci_lo, "ci_hi": s.ci_hi,
-            }
-            for s in result.summaries
-        ],
+        "summaries": [dict(zip(SUMMARY_COLUMNS, _values(s, SUMMARY_COLUMNS)))
+                      for s in result.summaries],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_lines(path, [json.dumps(payload, indent=2)])
 
 
 @dataclass(frozen=True)

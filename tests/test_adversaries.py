@@ -29,6 +29,11 @@ class TestSpecs:
         assert AdversarySpec.from_json(spec.to_json()) == spec
         assert spec.to_json()["lambda"] == 2
 
+    def test_from_json_rejects_unknown_keys(self):
+        # "lam" is the attribute name; the JSON key is "lambda"
+        with pytest.raises(ValueError, match="unknown adversary keys: lam, rr"):
+            AdversarySpec.from_json({"kind": "BoundedRandom", "lam": 2, "rr": 3})
+
 
 class TestKinds:
     def test_min_order_k3(self):

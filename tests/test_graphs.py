@@ -294,6 +294,13 @@ class TestGraphIO:
         with pytest.raises(ValueError, match="announces"):
             read_graph(str(path))
 
+    @pytest.mark.parametrize("text, line", [("0 0\n", 1), ("\n-1 0\n", 2)])
+    def test_reader_names_line_of_empty_vertex_set(self, tmp_path, text, line):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}: vertex count must be >= 1"):
+            read_graph(str(path))
+
 
 class TestOrderedGraph:
     def test_rejects_loop(self):

@@ -99,6 +99,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(predicate="weird")
 
+    def test_from_json_rejects_unknown_keys(self):
+        # a misspelt key would otherwise run a non-clean rainbow sweep silently
+        data = {**small_config().to_json(), "predicte": "canonical", "clean": True}
+        with pytest.raises(ValueError, match="unknown sweep config keys: clean, predicte"):
+            ExperimentConfig.from_json(data)
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_from_json_requires_boolean_clean_mode(self, value):
+        data = {**small_config().to_json(), "clean_mode": value}
+        with pytest.raises(ValueError, match="clean_mode must be true or false"):
+            ExperimentConfig.from_json(data)
+
     @pytest.mark.parametrize("grid", [{"n_grid": (30, 30)}, {"c_grid": (1.0, 1)}])
     def test_rejects_duplicate_grid_values(self, grid):
         # a repeated value would merge two cells and count seed-identical trials twice
