@@ -75,12 +75,20 @@ class AdversarySpec:
         unknown = sorted(set(data) - {"kind", "r", "lambda", "seed"})
         if unknown:
             raise ValueError(f"unknown adversary keys: {', '.join(unknown)}")
+        r, lam = data.get("r"), data.get("lambda")
         return cls(
             kind=data["kind"],
-            r=data.get("r"),
-            lam=data.get("lambda"),
-            seed=int(data.get("seed", 0)),
+            r=r if r is None else _json_int("r", r),
+            lam=lam if lam is None else _json_int("lambda", lam),
+            seed=_json_int("seed", data.get("seed", 0)),
         )
+
+
+def _json_int(key: str, value: object) -> int:
+    """An integer field of a JSON config: floats, strings and booleans are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _greedy_proper(graph: OrderedGraph) -> list[int]:
@@ -121,16 +129,15 @@ def _bounded_random(graph: OrderedGraph, spec: AdversarySpec) -> list[int]:
 
 def generate_colouring(graph: OrderedGraph, spec: AdversarySpec) -> EdgeColouring:
     """Produce the colouring described by ``spec``; same inputs, same output."""
-    edges = graph.edges
     if spec.kind == "RandomR":
         rng = np.random.Generator(np.random.PCG64(spec.seed))
-        colours = rng.integers(0, spec.r, size=len(edges)).tolist()
+        colours = rng.integers(0, spec.r, size=graph.edge_count)
     elif spec.kind == "Injective":
-        colours = range(len(edges))
+        colours = np.arange(graph.edge_count)
     elif spec.kind == "MinOrder":
-        colours = [u for u, _ in edges]
+        colours = graph._us
     elif spec.kind == "MaxOrder":
-        colours = [v for _, v in edges]
+        colours = graph._vs
     elif spec.kind == "GreedyProper":
         colours = _greedy_proper(graph)
     elif spec.kind == "BoundedRandom":
@@ -142,13 +149,7 @@ def generate_colouring(graph: OrderedGraph, spec: AdversarySpec) -> EdgeColourin
 
 def verify_properness(phi: EdgeColouring) -> bool:
     """True iff no two incident edges share a colour."""
-    seen: list[set[int]] = [set() for _ in range(phi.host.n + 1)]
-    for (u, v), c in phi.items():
-        if c in seen[u] or c in seen[v]:
-            return False
-        seen[u].add(c)
-        seen[v].add(c)
-    return True
+    return max_colour_multiplicity(phi) <= 1
 
 
 def max_colour_multiplicity(phi: EdgeColouring) -> int:

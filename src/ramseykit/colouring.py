@@ -5,8 +5,11 @@ pair/cherry densities, and greedy colour partitioning."""
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .graphs import (Edge, OrderedGraph, _read_records, _write_lines, bits, normalise_edge,
                      vertex_mask)
@@ -36,6 +39,9 @@ __all__ = [
 ]
 
 
+_COLOUR_LIMIT = 2**63  # colour ids lie in [0, 2^63), so int64 holds them exactly
+
+
 class NotAClique(Exception):
     """A required edge of the candidate copy is absent from the host graph."""
 
@@ -63,52 +69,65 @@ STRICT_TAGS = frozenset(
 class EdgeColouring:
     """A total map from the host graph's edge set to colour ids.
 
-    Colour ids are opaque non-negative integers and need not be contiguous;
+    Colour ids are opaque integers in [0, 2^63) and need not be contiguous;
     ``relabel_dense`` produces an equivalent colouring with ids 0..k-1.
+    Stored as a symmetric (n+1) x (n+1) int64 matrix, -1 off the edges, for
+    numpy work, and as its rows of Python ints, each made on first use, for
+    scalar lookups.
     """
 
-    __slots__ = ("host", "_map")
+    __slots__ = ("host", "_matrix", "_rows")
 
     def __init__(self, host: OrderedGraph, mapping: Mapping[Edge, int]) -> None:
         norm: dict[Edge, int] = {}
         for (u, v), c in mapping.items():
             edge = normalise_edge(u, v)
-            if int(c) < 0:
-                raise ValueError(f"negative colour {c} on edge {edge}")
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not 0 <= c < _COLOUR_LIMIT:
+                raise ValueError(f"colour {c!r} on edge {edge} is not an integer in [0, 2^63)")
             norm[edge] = int(c)
-        if set(norm) != set(host.edges):
-            missing = set(host.edges) - set(norm)
-            extra = set(norm) - set(host.edges)
-            raise ValueError(
-                f"colouring domain mismatch: missing {sorted(missing)[:3]}, "
-                f"extraneous {sorted(extra)[:3]}"
-            )
-        self.host = host
-        self._map = norm
+        missing, extra = set(host.edges) - set(norm), set(norm) - set(host.edges)
+        if missing or extra:
+            raise ValueError(f"colouring domain mismatch: missing {sorted(missing)[:3]}, "
+                             f"extraneous {sorted(extra)[:3]}")
+        self._fill(host, [norm[edge] for edge in host.edges])
 
     @classmethod
-    def _trusted(cls, host: OrderedGraph, colours: Iterable[int]) -> "EdgeColouring":
-        """Give ``host.edges[i]`` the i-th of ``colours``, which the library
-        computed itself as one non-negative int per edge, without checking."""
+    def _trusted(cls, host: OrderedGraph, colours: Sequence[int] | np.ndarray) -> "EdgeColouring":
+        """Colour ``host.edges[i]`` with ``colours[i]``, as the library computed it, unchecked."""
         phi = cls.__new__(cls)
-        phi.host = host
-        phi._map = dict(zip(host.edges, colours))
+        phi._fill(host, colours)
         return phi
 
+    def _fill(self, host: OrderedGraph, colours: Sequence[int] | np.ndarray) -> None:
+        matrix = np.full((host.n + 1, host.n + 1), -1, dtype=np.int64)
+        colours = np.asarray(colours, dtype=np.int64)
+        matrix[host._us, host._vs] = colours
+        matrix[host._vs, host._us] = colours
+        self.host = host
+        self._matrix = matrix
+        self._rows = _Rows(matrix)
+
     def colour(self, u: int, v: int) -> int:
-        return self._map[normalise_edge(u, v)]
+        """The colour of edge uv; KeyError if uv is not an edge, ValueError if u == v."""
+        c = self.get(u, v)
+        if c is None:
+            raise ValueError(f"loop at vertex {u}") if u == v else KeyError((u, v))
+        return c
 
     def get(self, u: int, v: int) -> Optional[int]:
-        if u == v:
+        """The colour of edge uv, or None if uv is not an edge."""
+        try:
+            c = self._rows[u][v] if u >= 0 and v >= 0 else -1  # no wrap-around
+        except IndexError:
             return None
-        return self._map.get(normalise_edge(u, v))
+        return c if c >= 0 else None
 
     def items(self) -> Iterator[tuple[Edge, int]]:
-        for edge in self.host.edges:
-            yield edge, self._map[edge]
+        host = self.host
+        return zip(host.edges, self._matrix[host._us, host._vs].tolist())
 
     def colours(self) -> set[int]:
-        return set(self._map.values())
+        return set(self._matrix[self.host._us, self.host._vs].tolist())
 
     def relabel_dense(self) -> "EdgeColouring":
         """Relabel colours to 0..k-1 by first appearance in edge order."""
@@ -119,10 +138,21 @@ class EdgeColouring:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColouring):
             return NotImplemented
-        return self.host == other.host and self._map == other._map
+        return self.host == other.host and np.array_equal(self._matrix, other._matrix)
 
     def __repr__(self) -> str:
         return f"EdgeColouring(n={self.host.n}, m={self.host.edge_count}, colours={len(self.colours())})"
+
+
+class _Rows(dict):
+    """``rows[v]``: row v of a colour matrix as Python ints, made on first use."""
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.matrix = matrix
+
+    def __missing__(self, v: int) -> list[int]:
+        row = self[v] = self.matrix[v].tolist()
+        return row
 
 
 @dataclass(frozen=True)
@@ -224,15 +254,10 @@ def _colour_counts(phi: EdgeColouring, v: int, umask: int,
         rest &= ~lower
     elif direction == ">":
         rest &= lower
-    colour_of = phi._map
-    counts: dict[int, int] = {}
-    while rest:
-        low = rest & -rest
-        w = low.bit_length() - 1
-        rest ^= low
-        c = colour_of[(w, v) if w < v else (v, w)]
-        counts[c] = counts.get(c, 0) + 1
-    return counts
+    elif direction is not None:
+        raise ValueError("direction must be '<' or '>'")
+    row = phi._rows[v]
+    return Counter(row[w] for w in bits(rest))
 
 
 def _max_colour_degree(phi: EdgeColouring, v: int, umask: int,
@@ -249,8 +274,6 @@ def colour_degree(phi: EdgeColouring, v: int, us: Iterable[int], c: int) -> int:
 def directed_colour_degree(phi: EdgeColouring, v: int, us: Iterable[int],
                            c: int, direction: str) -> int:
     """Colour degree restricted to neighbours w with v < w or v > w."""
-    if direction not in ("<", ">"):
-        raise ValueError("direction must be '<' or '>'")
     return _colour_counts(phi, v, vertex_mask(phi.host, us), direction).get(c, 0)
 
 
@@ -278,8 +301,6 @@ def unbounded_condition_holds(phi: EdgeColouring, us: Iterable[int],
 def unbounded_vertices(phi: EdgeColouring, us: Iterable[int], delta: float,
                        p: float, direction: str) -> tuple[int, ...]:
     """The set of u in U with some directed colour degree >= 4 * delta * p * |U|."""
-    if direction not in ("<", ">"):
-        raise ValueError("direction must be '<' or '>'")
     umask = vertex_mask(phi.host, us)
     if not umask:
         raise ValueError("U must be nonempty")
@@ -369,12 +390,7 @@ def pair_density(graph: OrderedGraph, ui: Iterable[int], uj: Iterable[int],
     """e(U_i, U_j) / (p |U_i| |U_j|) for disjoint classes (edges counted once)."""
     if p <= 0:
         raise ValueError("p must be positive")
-    a = tuple(sorted(set(ui)))
-    b = tuple(sorted(set(uj)))
-    if not a or not b:
-        raise ValueError("classes must be nonempty")
-    if set(a) & set(b):
-        raise ValueError("classes must be disjoint")
+    a, b = _check_classes(graph, (ui, uj), 2)
     bmask = vertex_mask(graph, b)
     edges = sum((graph.adjacency(u) & bmask).bit_count() for u in a)
     return edges / (p * len(a) * len(b))
@@ -385,13 +401,7 @@ def cherry_density(graph: OrderedGraph, u1: Iterable[int], u2: Iterable[int],
     """sum_{u in U1} d(u,U2) d(u,U3) / (p^2 |U1| |U2| |U3|)."""
     if p <= 0:
         raise ValueError("p must be positive")
-    a = tuple(sorted(set(u1)))
-    b = tuple(sorted(set(u2)))
-    c = tuple(sorted(set(u3)))
-    if not (a and b and c):
-        raise ValueError("classes must be nonempty")
-    if set(a) & set(b) or set(a) & set(c) or set(b) & set(c):
-        raise ValueError("classes must be disjoint")
+    a, b, c = _check_classes(graph, (u1, u2, u3), 3)
     bmask = vertex_mask(graph, b)
     cmask = vertex_mask(graph, c)
     total = sum(
@@ -454,8 +464,8 @@ def read_colouring(path: str, host: OrderedGraph) -> EdgeColouring:
             raise ValueError(f"line {idx}: ({u},{v}) is not an edge of the host")
         if (u, v) in mapping:
             raise ValueError(f"line {idx}: duplicate edge ({u},{v})")
-        if c < 0:
-            raise ValueError(f"line {idx}: negative colour {c}")
+        if not 0 <= c < _COLOUR_LIMIT:
+            raise ValueError(f"line {idx}: colour {c} outside [0, 2^63)")
         mapping[(u, v)] = c
     if len(mapping) != host.edge_count:
         raise ValueError("colouring does not cover every host edge")

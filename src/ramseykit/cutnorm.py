@@ -93,9 +93,8 @@ class WeightedGraph:
     def indicator(cls, graph: OrderedGraph, scale: float = 1.0) -> "WeightedGraph":
         """The (optionally scaled) 0/1 edge indicator of an ordered graph."""
         w = np.zeros((graph.n, graph.n))
-        for u, v in graph.edges:
-            w[u - 1, v - 1] = scale
-            w[v - 1, u - 1] = scale
+        w[graph._us - 1, graph._vs - 1] = scale
+        w[graph._vs - 1, graph._us - 1] = scale
         return cls(w, validate=False)
 
     def entry(self, u: int, v: int) -> float:

@@ -20,7 +20,6 @@ from .colouring import (
     CanonicalWitness,
     EdgeColouring,
     PatternTag,
-    _colour_counts,
     _max_colour_degree,
     witness_for,
 )
@@ -145,30 +144,37 @@ def build_sequence(phi: EdgeColouring,
     as a BoundedSubsetSignal.
     """
     _require_complete(phi)
-    n = phi.host.n
-    delta = consts.delta
-    surviving = list(range(1, n + 1))
+    n, delta, matrix = phi.host.n, consts.delta, phi._matrix
+    # label phi(vw) by palette index, in colour order (the diagonal's -1 is
+    # label 0): colour + 1 up to n^2, else its dense rank, so that the keys
+    # below stay small whatever the ids
+    top = int(matrix.max())
+    if top <= n * n:
+        palette, labels = np.arange(-1, top + 1), matrix + 1
+    else:
+        palette, labels = np.unique(matrix, return_inverse=True)
+    base = labels.reshape(matrix.shape) * 2 + np.tri(n + 1, k=-1, dtype=np.int64)  # + (w < v)
+    span = 2 * len(palette)
+    surviving = np.arange(1, n + 1)
     steps: list[SequenceStep] = []
     trace: list[tuple[int, ...]] = []
     for i in range(1, consts.length + 1):
-        threshold = delta * len(surviving) / 2.0
-        smask = vertex_mask(phi.host, surviving)
-        best = None  # (-count, v, colour, dir_rank)
-        for v in surviving:
-            for rank, side in enumerate("<>"):
-                for c, d in _colour_counts(phi, v, smask, side).items():
-                    if d > threshold and (best is None or (-d, v, c, rank) < best):
-                        best = (-d, v, c, rank)
-        if best is None:
-            return BoundedSubsetSignal(tuple(surviving), delta)
-        d, v, c, rank = -best[0], best[1], best[2], best[3]
-        direction = "<" if rank == 0 else ">"
-        surviving = [
-            w for w in surviving
-            if w != v and phi.colour(v, w) == c and ((v < w) == (direction == "<"))
-        ]
-        steps.append(SequenceStep(v, c, direction))
-        trace.append(tuple(surviving))
+        s = len(surviving)
+        threshold = delta * s / 2.0
+        # the key (row, colour, w < v) orders like (v, c, "<" before ">")
+        keys = base[surviving[:, None], surviving] + np.arange(0, s * span, span)[:, None]
+        np.fill_diagonal(keys, -1)
+        found, counts = np.unique(keys, return_counts=True)
+        counts[0] = 0  # found[0] is the diagonal's -1
+        best = counts.argmax()  # the first maximum has the smallest key
+        if not counts[best] > threshold:
+            return BoundedSubsetSignal(tuple(surviving.tolist()), delta)
+        key = found[best]
+        row, rest = divmod(int(key), span)
+        v = int(surviving[row])
+        steps.append(SequenceStep(v, int(palette[rest // 2]), ">" if rest % 2 else "<"))
+        surviving = surviving[keys[row] == key]
+        trace.append(tuple(surviving.tolist()))
         # nested-neighbourhood size bound, relative to the original n
         assert len(surviving) > (delta / 2.0) ** i * n
     return NeighbourhoodSequence(tuple(steps), tuple(trace), delta, n, phi)
@@ -232,20 +238,12 @@ def extract_canonical(seq: NeighbourhoodSequence, ell: int) -> CanonicalWitness:
 def _first_colour_collision(phi: EdgeColouring,
                             sample: list[int]) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
     """Lexicographically first pair of equal-coloured edges in the sample."""
-    first_edge: dict[int, tuple[int, int]] = {}
-    best = None
-    k = len(sample)
-    for a in range(k):
-        for b in range(a + 1, k):
-            e = (sample[a], sample[b])
-            c = phi.colour(*e)
-            if c in first_edge:
-                pair = (first_edge[c], e)
-                if best is None or pair < best:
-                    best = pair
-            else:
-                first_edge[c] = e
-    return best
+    by_colour: dict[int, list[tuple[int, int]]] = {}
+    for a, u in enumerate(sample):  # the sample is sorted: edges in order
+        row = phi._rows[u]
+        for w in sample[a + 1:]:
+            by_colour.setdefault(row[w], []).append((u, w))
+    return min(((es[0], es[1]) for es in by_colour.values() if len(es) > 1), default=None)
 
 
 def rainbow_by_sampling(phi: EdgeColouring, us, ell: int, delta: float,

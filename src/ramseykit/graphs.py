@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -48,11 +49,13 @@ class OrderedGraph:
 
     Adjacency is one Python-int bitmask per vertex (bit v of ``adjacency(u)``
     is set iff uv is an edge), so neighbourhood intersections cost one word
-    operation per 64 vertices.  Instances are immutable after construction
-    and safe to share read-only across parallel workers.
+    operation per 64 vertices.  The sorted edges are also kept as two
+    endpoint arrays ``_us``, ``_vs`` for numpy work on whole edge sets.
+    Instances are immutable after construction and safe to share read-only
+    across parallel workers.
     """
 
-    __slots__ = ("n", "_adj", "_edges")
+    __slots__ = ("n", "_adj", "_edges", "_us", "_vs")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 1:
@@ -71,15 +74,19 @@ class OrderedGraph:
             adj[v] |= 1 << u
         self._adj = adj
         self._edges = tuple(sorted(seen))
+        self._us, self._vs = np.array(self._edges, dtype=np.intp).reshape(-1, 2).T
 
     @classmethod
-    def _trusted(cls, n: int, adj: list[int], edges: tuple[Edge, ...]) -> "OrderedGraph":
-        """Wrap bitset rows and their lexicographically sorted edge tuple as
-        computed by the library itself, without checking them again."""
+    def _trusted(cls, n: int, adj: list[int], edges: tuple[Edge, ...],
+                 us: np.ndarray, vs: np.ndarray) -> "OrderedGraph":
+        """Wrap bitset rows, their lexicographically sorted edge tuple and its
+        endpoint arrays as computed by the library itself, without checking
+        them again."""
         graph = cls.__new__(cls)
         graph.n = n
         graph._adj = adj
         graph._edges = edges
+        graph._us, graph._vs = us, vs
         return graph
 
     @classmethod
@@ -88,8 +95,9 @@ class OrderedGraph:
             raise ValueError("vertex count must be >= 1")
         full = ((1 << (n + 1)) - 1) & ~1
         adj = [0] + [full & ~(1 << v) for v in range(1, n + 1)]
-        edges = tuple((u, v) for u in range(1, n) for v in range(u + 1, n + 1))
-        return cls._trusted(n, adj, edges)
+        us, vs = np.triu_indices(n + 1, k=1)
+        us, vs = us[n:], vs[n:]  # less the pairs (0, v)
+        return cls._trusted(n, adj, tuple(zip(us.tolist(), vs.tolist())), us, vs)
 
     @classmethod
     def empty(cls, n: int) -> "OrderedGraph":
@@ -195,7 +203,7 @@ def _sample_pairs(n: int, probs: float | np.ndarray, seed: int) -> OrderedGraph:
     mask[vs, us] = True
     rows = np.packbits(mask, axis=1, bitorder="little")
     adj = [int.from_bytes(row, "little") for row in rows]
-    return OrderedGraph._trusted(n, adj, tuple(zip(us.tolist(), vs.tolist())))
+    return OrderedGraph._trusted(n, adj, tuple(zip(us.tolist(), vs.tolist())), us, vs)
 
 
 def _extend_cliques(adj: Sequence[int], cand: int, need: int,
@@ -317,15 +325,17 @@ def clean_subgraph(graph: OrderedGraph, ell: int) -> OrderedGraph:
     if ell == 3:
         return graph
     adj = list(graph._adj)
-    kept: list[Edge] = []
     for u, v in graph.edges:
-        common = adj[u] & adj[v]
-        if _has_conflicting_clique_pair(adj, common, ell - 2):
+        if _has_conflicting_clique_pair(adj, adj[u] & adj[v], ell - 2):
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
-        else:
-            kept.append((u, v))
-    return OrderedGraph._trusted(graph.n, adj, tuple(kept))
+    # an edge is kept iff its bit is still set in the final rows
+    width = (graph.n + 8) // 8
+    raw = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in adj), dtype=np.uint8)
+    matrix = np.unpackbits(raw.reshape(-1, width), axis=1, bitorder="little").view(bool)
+    keep = matrix[graph._us, graph._vs]
+    edges = tuple(compress(graph.edges, keep.tolist()))
+    return OrderedGraph._trusted(graph.n, adj, edges, graph._us[keep], graph._vs[keep])
 
 
 def write_graph(graph: OrderedGraph, path: str) -> None:

@@ -9,12 +9,13 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, fields
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .adversaries import AdversarySpec, generate_colouring
+from .adversaries import AdversarySpec, _json_int, generate_colouring
 from .colouring import PatternTag
-from .graphs import (OrderedGraph, _write_lines, clean_subgraph, count_cliques,
-                     enumerate_cliques, gnp_generate)
+from .graphs import (_write_lines, clean_subgraph, count_cliques, enumerate_cliques,
+                     gnp_generate, vertex_mask)
 from .search import (
     ArrowQuery,
     DEFAULT_NODE_BUDGET,
@@ -154,16 +155,16 @@ class ExperimentConfig:
         if not isinstance(clean_mode, bool):
             raise ValueError(f"clean_mode must be true or false, got {clean_mode!r}")
         return cls(
-            ell=int(data["ell"]),
-            n_grid=tuple(int(n) for n in data["n_grid"]),
+            ell=_json_int("ell", data["ell"]),
+            n_grid=tuple(_json_int("n_grid", n) for n in data["n_grid"]),
             c_grid=tuple(float(c) for c in data["c_grid"]),
             adversary=AdversarySpec.from_json(data["adversary"]),
-            trials=int(data["trials"]),
-            master_seed=int(data["master_seed"]),
+            trials=_json_int("trials", data["trials"]),
+            master_seed=_json_int("master_seed", data["master_seed"]),
             exponent_mode=data.get("exponent_mode", "canonical"),
             clean_mode=clean_mode,
             predicate=data.get("predicate", "rainbow"),
-            budget=int(data.get("budget", DEFAULT_NODE_BUDGET)),
+            budget=_json_int("budget", data.get("budget", DEFAULT_NODE_BUDGET)),
         )
 
 
@@ -355,16 +356,6 @@ class CorollaryReport:
     witnesses_checked: int
 
 
-def _clique_masks(graph: OrderedGraph, ell: int) -> list[int]:
-    masks = []
-    for tup in enumerate_cliques(graph, ell):
-        mask = 0
-        for v in tup:
-            mask |= 1 << v
-        masks.append(mask)
-    return masks
-
-
 def verify_corollary_mode(records: Iterable[TrialRecord]) -> CorollaryReport:
     """Re-audit a clean-mode sweep from its seeds.
 
@@ -382,20 +373,12 @@ def verify_corollary_mode(records: Iterable[TrialRecord]) -> CorollaryReport:
         cleaned = clean_subgraph(graph, rec.ell)
         if count_cliques(cleaned, rec.ell + 1) != 0:
             raise InvariantBreach(f"K_{rec.ell + 1} present after cleaning (seed {rec.seed})")
-        masks = _clique_masks(cleaned, rec.ell)
-        for i in range(len(masks)):
-            for j in range(i + 1, len(masks)):
-                if (masks[i] & masks[j]).bit_count() >= 3:
-                    raise InvariantBreach(
-                        f"two K_{rec.ell} share >= 3 vertices (seed {rec.seed})"
-                    )
+        masks = [vertex_mask(cleaned, tup) for tup in enumerate_cliques(cleaned, rec.ell)]
+        if any((a & b).bit_count() >= 3 for a, b in combinations(masks, 2)):
+            raise InvariantBreach(f"two K_{rec.ell} share >= 3 vertices (seed {rec.seed})")
         if rec.found and rec.witness:
             verts = rec.witness
-            for a in range(len(verts)):
-                for b in range(a + 1, len(verts)):
-                    if not cleaned.has_edge(verts[a], verts[b]):
-                        raise InvariantBreach(
-                            f"witness {verts} leaves the cleaned graph (seed {rec.seed})"
-                        )
+            if not all(cleaned.has_edge(a, b) for a, b in combinations(verts, 2)):
+                raise InvariantBreach(f"witness {verts} leaves the cleaned graph (seed {rec.seed})")
             witnesses += 1
     return CorollaryReport(trials_checked=len(recs), witnesses_checked=witnesses)

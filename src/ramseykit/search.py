@@ -7,6 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+import numpy as np
+
 from .colouring import (
     STRICT_TAGS,
     CanonicalWitness,
@@ -114,7 +116,7 @@ def find_rainbow_copy(phi: EdgeColouring, ell: int,
     """
     if ell < 3:
         raise ValueError("ell must be >= 3")
-    colour_of = phi._map
+    rows = phi._rows
     nodes = 0
     # used[d]: the colours on the edges among the first d prefix vertices
     used: list[frozenset[int]] = [frozenset()] * (ell + 1)
@@ -123,7 +125,7 @@ def find_rainbow_copy(phi: EdgeColouring, ell: int,
         nonlocal nodes
         nodes += 1
         seen = used[len(prefix)]
-        grown = seen.union([colour_of[u, v] for u in prefix])
+        grown = seen.union([rows[u][v] for u in prefix])
         if len(grown) != len(seen) + len(prefix):
             return False
         used[len(prefix) + 1] = grown
@@ -150,22 +152,18 @@ def arrows_mono(graph: OrderedGraph, query: ArrowQuery,
     refutes it and is returned as the certificate.  Exceeding ``budget``
     raises ResourceLimitError rather than guessing.
     """
-    edges = graph.edges
-    m = len(edges)
+    m = graph.edge_count
     cliques = [tuple(tup) for tup in enumerate_cliques(graph, query.ell)]
     if not cliques:
         witness = EdgeColouring._trusted(graph, [0] * m)
         return ArrowOutcome(False, witness, 0)
 
-    edge_index = {e: i for i, e in enumerate(edges)}
-    clique_edges: list[tuple[int, ...]] = []
-    for tup in cliques:
-        idxs = tuple(
-            edge_index[(tup[i], tup[j])]
-            for i in range(len(tup))
-            for j in range(i + 1, len(tup))
-        )
-        clique_edges.append(idxs)
+    # each clique's edges as positions in graph.edges, in edge order
+    edge_index = np.zeros((graph.n + 1, graph.n + 1), dtype=np.intp)
+    edge_index[graph._us, graph._vs] = np.arange(m)
+    a, b = np.triu_indices(query.ell, k=1)
+    ends = np.array(cliques)
+    clique_edges: list[list[int]] = edge_index[ends[:, a], ends[:, b]].tolist()
     edge_cliques: list[list[int]] = [[] for _ in range(m)]
     for k, idxs in enumerate(clique_edges):
         for e in idxs:

@@ -35,6 +35,24 @@ class TestSpecs:
             AdversarySpec.from_json({"kind": "BoundedRandom", "lam": 2, "rr": 3})
 
 
+    @pytest.mark.parametrize("data", [
+        {"kind": "RandomR", "r": 2.5},
+        {"kind": "RandomR", "r": "3"},
+        {"kind": "BoundedRandom", "lambda": 1.5},
+        {"kind": "BoundedRandom", "lambda": True},
+        {"kind": "Injective", "seed": 3.0},
+        {"kind": "Injective", "seed": "7"},
+    ])
+    def test_from_json_refuses_non_integer_numbers(self, data):
+        key = next(k for k in data if k != "kind")
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            AdversarySpec.from_json(data)
+
+    def test_from_json_keeps_absent_and_null_numbers(self):
+        spec = AdversarySpec.from_json({"kind": "BoundedRandom", "r": None, "lambda": 2})
+        assert spec == AdversarySpec("BoundedRandom", lam=2, seed=0)
+
+
 class TestKinds:
     def test_min_order_k3(self):
         phi = generate_colouring(OrderedGraph.complete(3), AdversarySpec("MinOrder"))

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -359,6 +360,21 @@ class TestDensities:
         )
         assert cherry_density(g, c1, c2, c3, 0.5) == pytest.approx(direct / (0.25 * 27))
 
+    @pytest.mark.parametrize("classes", [
+        ([], [3]), ([1, 2], [2, 3]), ([-1], [3]), ([0], [3]), ([1], [7]),
+    ])
+    def test_pair_density_rejects_bad_classes(self, classes):
+        # -1 used to read vertex 6's row, and 0 the empty row
+        with pytest.raises(ValueError):
+            pair_density(OrderedGraph.complete(6), *classes, 0.5)
+
+    @pytest.mark.parametrize("classes", [
+        ([1], [], [5]), ([1], [3, 5], [5]), ([1], [1, 3], [5]), ([-1], [3], [5]), ([1], [3], [9]),
+    ])
+    def test_cherry_density_rejects_bad_classes(self, classes):
+        with pytest.raises(ValueError):
+            cherry_density(OrderedGraph.complete(6), *classes, 0.5)
+
 
 class TestGreedyPartition:
     def test_two_small_weights_one_class(self):
@@ -435,3 +451,68 @@ class TestColouringObject:
         path.write_text("3 2\n1 2 0\n1 3 0\n")
         with pytest.raises(ValueError, match="header m"):
             read_colouring(str(path), g)
+
+    @pytest.mark.parametrize("colour", [-1, 2**63, 2**64, 2.0, 2.5, "3", True, None])
+    def test_validating_constructor_refuses_bad_colour_ids(self, colour):
+        host = OrderedGraph.complete(3)
+        with pytest.raises(ValueError, match="not an integer in"):
+            EdgeColouring(host, {(1, 2): 0, (1, 3): colour, (2, 3): 1})
+
+    def test_validating_constructor_takes_ids_up_to_int64_max(self):
+        host = OrderedGraph.complete(3)
+        top = 2**63 - 1
+        phi = EdgeColouring(host, {(1, 2): top, (3, 1): np.int64(top - 1), (2, 3): 0})
+        assert list(phi.items()) == [((1, 2), top), ((1, 3), top - 1), ((2, 3), 0)]
+        assert phi.colour(3, 1) == top - 1 and type(phi.colour(3, 1)) is int
+
+    @pytest.mark.parametrize("colour", [-1, 2**63])
+    def test_io_rejects_colour_outside_int64(self, tmp_path, colour):
+        g = OrderedGraph.complete(3)
+        path = tmp_path / "c.txt"
+        path.write_text(f"3 3\n1 2 0\n\n1 3 {colour}\n2 3 1\n")
+        with pytest.raises(ValueError, match=f"line 4: colour {colour} outside"):
+            read_colouring(str(path), g)
+
+    def test_io_reads_int64_max_colour(self, tmp_path):
+        g = OrderedGraph.complete(3)
+        path = tmp_path / "c.txt"
+        path.write_text(f"3 3\n1 2 0\n1 3 {2**63 - 1}\n2 3 1\n")
+        assert read_colouring(str(path), g).colour(1, 3) == 2**63 - 1
+
+
+# a path 1-2-3 plus the edges 1-4 and 3-5: vertex 5's row is what a
+# wrapped-around index -1 would read
+LOOKUP_HOST = OrderedGraph(5, [(1, 2), (2, 3), (1, 4), (3, 5)])
+LOOKUP_COLOURS = [7, 0, 2**63 - 1, 7]  # in host.edges order: 12, 14, 23, 35
+LOOKUP_BUILDS = {
+    "validated": lambda: EdgeColouring(LOOKUP_HOST, dict(zip(LOOKUP_HOST.edges, LOOKUP_COLOURS))),
+    "trusted list": lambda: EdgeColouring._trusted(LOOKUP_HOST, LOOKUP_COLOURS),
+    "trusted ndarray": lambda: EdgeColouring._trusted(LOOKUP_HOST, np.array(LOOKUP_COLOURS)),
+}
+NON_EDGES = [(1, 3), (3, 1), (4, 5), (0, 1), (1, 0), (0, 2), (-1, 3), (3, -1), (-2, 1),
+             (1, -2), (-1, -2), (6, 1), (1, 6), (6, 7), (100, 2), (-100, 2)]
+LOOPS = [(1, 1), (5, 5), (0, 0), (-1, -1), (6, 6)]
+
+
+@pytest.mark.parametrize("build", sorted(LOOKUP_BUILDS))
+class TestLookupContract:
+    def test_edges_read_in_both_orders(self, build):
+        phi = LOOKUP_BUILDS[build]()
+        assert LOOKUP_HOST.edges == ((1, 2), (1, 4), (2, 3), (3, 5))
+        for (u, v), c in zip(LOOKUP_HOST.edges, LOOKUP_COLOURS):
+            assert phi.colour(u, v) == phi.colour(v, u) == phi.get(v, u) == c
+        assert list(phi.items()) == list(zip(LOOKUP_HOST.edges, LOOKUP_COLOURS))
+
+    @pytest.mark.parametrize("u,v", NON_EDGES)
+    def test_non_edge_raises_key_error(self, build, u, v):
+        phi = LOOKUP_BUILDS[build]()
+        with pytest.raises(KeyError):
+            phi.colour(u, v)
+        assert phi.get(u, v) is None
+
+    @pytest.mark.parametrize("u,v", LOOPS)
+    def test_loop_raises_value_error(self, build, u, v):
+        phi = LOOKUP_BUILDS[build]()
+        with pytest.raises(ValueError):
+            phi.colour(u, v)
+        assert phi.get(u, v) is None

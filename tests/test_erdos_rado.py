@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramseykit import (
     AdversarySpec,
@@ -13,6 +16,7 @@ from ramseykit import (
     OrderedGraph,
     PatternTag,
     STRICT_TAGS,
+    SequenceStep,
     SequenceTooShort,
     build_sequence,
     classify_copy,
@@ -33,6 +37,122 @@ def vertex_min_colouring(n, colour_of):
     """phi(uv) = colour_of[min(u,v)]; non-strictly min by construction."""
     host = OrderedGraph.complete(n)
     return EdgeColouring(host, {(u, v): colour_of[u] for u, v in host.edges})
+
+
+def reference_build_sequence(phi, consts):
+    """The per-vertex dict loop that build_sequence replaced, kept as its
+    oracle: count (colour, direction) for every survivor and take the
+    largest count, then the smallest (v, c, "<" before ">")."""
+    n = phi.host.n
+    delta = consts.delta
+    colour_of = dict(phi.items())
+    surviving = list(range(1, n + 1))
+    steps, trace = [], []
+    for _ in range(consts.length):
+        threshold = delta * len(surviving) / 2.0
+        best = None  # (-count, v, colour, dir_rank)
+        for v in surviving:
+            for rank, side in enumerate("<>"):
+                counts = {}
+                for w in surviving:
+                    if w != v and (v < w) == (side == "<"):
+                        c = colour_of[min(v, w), max(v, w)]
+                        counts[c] = counts.get(c, 0) + 1
+                for c, d in counts.items():
+                    if d > threshold and (best is None or (-d, v, c, rank) < best):
+                        best = (-d, v, c, rank)
+        if best is None:
+            return BoundedSubsetSignal(tuple(surviving), delta)
+        _, v, c, rank = best
+        direction = "<>"[rank]
+        surviving = [w for w in surviving if w != v and colour_of[min(v, w), max(v, w)] == c
+                     and (v < w) == (direction == "<")]
+        steps.append(SequenceStep(v, c, direction))
+        trace.append(tuple(surviving))
+    return NeighbourhoodSequence(tuple(steps), tuple(trace), delta, n, phi)
+
+
+def assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, BoundedSubsetSignal):
+        assert got == want
+        assert all(type(v) is int for v in got.surviving)
+    else:
+        assert got.steps == want.steps and got.survivors == want.survivors
+        assert all(type(x) is int for s in got.steps for x in (s.vertex, s.colour))
+        assert all(type(v) is int for s in got.survivors for v in s)
+
+
+# ids small, near n^2, sparse, and near the int64 limit
+COLOUR_IDS = st.one_of(st.integers(0, 3), st.integers(150, 250),
+                       st.integers(0, 2**63 - 1), st.integers(2**63 - 5, 2**63 - 1))
+
+
+@st.composite
+def complete_colourings(draw):
+    """K_n, n <= 14, coloured by an adversary or by a user mapping, as
+    (host, colour list in edge order)."""
+    n = draw(st.integers(1, 14))
+    host = OrderedGraph.complete(n)
+    m = host.edge_count
+    kind = draw(st.sampled_from(["RandomR", "Injective", "MinOrder", "MaxOrder",
+                                 "BoundedRandom", "mapping"]))
+    if kind == "mapping":
+        palette = draw(st.lists(COLOUR_IDS, min_size=1, max_size=6, unique=True))
+        colours = draw(st.lists(st.sampled_from(palette), min_size=m, max_size=m))
+        return host, colours
+    seed = draw(st.integers(0, 2**32))
+    if kind == "RandomR":
+        spec = AdversarySpec(kind, r=draw(st.integers(1, max(m, 1))), seed=seed)
+    elif kind == "BoundedRandom":
+        spec = AdversarySpec(kind, r=draw(st.integers(1, n)), lam=draw(st.integers(1, 3)),
+                             seed=seed)
+    else:
+        spec = AdversarySpec(kind)
+    return host, [c for _, c in generate_colouring(host, spec).items()]
+
+
+ER_CONSTANTS = st.one_of(
+    st.builds(ErConstants.for_clique, st.integers(3, 5)),
+    st.builds(ErConstants, ell=st.just(3), length=st.integers(1, 40),
+              delta=st.sampled_from([1 / 108, 1 / 256, 0.05, 0.2, 0.6])),
+)
+
+
+class TestBuildSequenceOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(complete_colourings(), ER_CONSTANTS)
+    def test_matches_dict_loop(self, coloured, consts):
+        host, colours = coloured
+        validated = EdgeColouring(host, dict(zip(host.edges, colours)))
+        from_list = EdgeColouring._trusted(host, colours)
+        from_array = EdgeColouring._trusted(host, np.array(colours, dtype=np.int64))
+        for phi in (from_list, from_array):
+            assert phi == validated
+            assert list(phi.items()) == list(validated.items())
+            assert phi.colours() == validated.colours() == set(colours)
+            assert phi.relabel_dense() == validated.relabel_dense()
+            assert list(phi.relabel_dense().items()) == list(validated.relabel_dense().items())
+        want = reference_build_sequence(validated, consts)
+        for phi in (validated, from_list, from_array):
+            assert_same_outcome(build_sequence(phi, consts), want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ids_near_int64_limit_are_relabelled_in_order(self, seed):
+        # shifting every id up to 2^63 - 5.. keeps their order, so the run is
+        # the same with every colour shifted
+        host = OrderedGraph.complete(30)
+        small = generate_colouring(host, AdversarySpec("RandomR", r=3, seed=seed))
+        shift = 2**63 - 5
+        huge = EdgeColouring(host, {e: c + shift for e, c in small.items()})
+        consts = ErConstants.for_clique(3)
+        want = build_sequence(small, consts)
+        got = build_sequence(huge, consts)
+        assert_same_outcome(got, reference_build_sequence(huge, consts))
+        assert isinstance(want, NeighbourhoodSequence)
+        assert got.survivors == want.survivors
+        assert [(s.vertex, s.colour - shift, s.direction) for s in got.steps] == [
+            (s.vertex, s.colour, s.direction) for s in want.steps]
 
 
 class TestConstants:

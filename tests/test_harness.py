@@ -111,6 +111,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="clean_mode must be true or false"):
             ExperimentConfig.from_json(data)
 
+    @pytest.mark.parametrize("value", [4.7, 4.0, "4", True])
+    @pytest.mark.parametrize("key", ["ell", "n_grid", "trials", "master_seed", "budget"])
+    def test_from_json_refuses_non_integer_numbers(self, key, value):
+        # int() would run "ell": 4.7 as 4 and "trials": "3" as 3
+        data = small_config().to_json()
+        data[key] = [value] if key == "n_grid" else value
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            ExperimentConfig.from_json(data)
+
+    @pytest.mark.parametrize("value", [2.5, "2", False])
+    @pytest.mark.parametrize("key", ["r", "lambda", "seed"])
+    def test_from_json_refuses_non_integer_adversary_numbers(self, key, value):
+        data = small_config().to_json()
+        data["adversary"] = {"kind": "BoundedRandom", "r": 5, "lambda": 2, key: value}
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            ExperimentConfig.from_json(data)
+
     @pytest.mark.parametrize("grid", [{"n_grid": (30, 30)}, {"c_grid": (1.0, 1)}])
     def test_rejects_duplicate_grid_values(self, grid):
         # a repeated value would merge two cells and count seed-identical trials twice

@@ -39,6 +39,7 @@ def assert_same_graph(graph):
     rebuilt = OrderedGraph(graph.n, graph.edges)
     assert graph == rebuilt
     assert graph._adj == rebuilt._adj
+    assert graph._us.tolist() == rebuilt._us.tolist() and graph._vs.tolist() == rebuilt._vs.tolist()
     assert all(type(x) is int for edge in graph.edges for x in edge)
 
 
@@ -101,7 +102,8 @@ def test_greedy_proper_matches_set_reference(n, p, seed):
 
 
 @pytest.mark.parametrize("ell", (4, 5))
-@pytest.mark.parametrize("n,p,seed", [(12, 0.8, 0), (16, 0.7, 1), (30, 0.5, 2)])
+@pytest.mark.parametrize("n,p,seed", [(7, 1.0, 0), (12, 0.8, 0), (15, 0.8, 1), (16, 0.7, 1),
+                                      (30, 0.5, 2), (63, 0.4, 3), (64, 0.4, 4)])
 def test_clean_subgraph_rows_match_validated_graph(ell, n, p, seed):
     graph = gnp_generate(n, p, seed).graph
     cleaned = clean_subgraph(graph, ell)
