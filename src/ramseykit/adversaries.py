@@ -51,6 +51,9 @@ class AdversarySpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
+        for key, value in (("r", self.r), ("lambda", self.lam)):
+            if value is not None:
+                _json_int(key, value)
         if self.kind == "RandomR" and (self.r is None or self.r < 1):
             raise ValueError("RandomR needs r >= 1")
         if self.kind == "BoundedRandom":
@@ -75,17 +78,16 @@ class AdversarySpec:
         unknown = sorted(set(data) - {"kind", "r", "lambda", "seed"})
         if unknown:
             raise ValueError(f"unknown adversary keys: {', '.join(unknown)}")
-        r, lam = data.get("r"), data.get("lambda")
         return cls(
             kind=data["kind"],
-            r=r if r is None else _json_int("r", r),
-            lam=lam if lam is None else _json_int("lambda", lam),
+            r=data.get("r"),
+            lam=data.get("lambda"),
             seed=_json_int("seed", data.get("seed", 0)),
         )
 
 
 def _json_int(key: str, value: object) -> int:
-    """An integer field of a JSON config: floats, strings and booleans are refused."""
+    """An integer field of a config: floats, strings and booleans are refused."""
     if type(value) is not int:
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return value

@@ -248,6 +248,8 @@ def _colour_counts(phi: EdgeColouring, v: int, umask: int,
 
     Direction "<" counts only neighbours w > v, ">" only w < v.
     """
+    if not 1 <= v <= phi.host.n:
+        raise ValueError(f"vertex {v} outside {{1,...,{phi.host.n}}}")
     lower = (1 << v) - 1
     rest = phi.host._adj[v] & umask
     if direction == "<":

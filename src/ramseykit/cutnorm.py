@@ -11,8 +11,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import (Edge, OrderedGraph, _read_records, _sample_pairs, _write_lines, count_cliques,
-                     normalise_edge)
+from .graphs import (Edge, OrderedGraph, _pair_table, _read_records, _sample_pairs, _write_lines,
+                     count_cliques, normalise_edge)
 
 __all__ = [
     "WeightedGraph",
@@ -319,7 +319,8 @@ def sample_graph_from_weights(d: WeightedGraph, seed: int) -> OrderedGraph:
     """
     if not d.in_unit_range():
         raise RangeViolation("edge probabilities must lie in [0,1]")
-    return _sample_pairs(d.n, d.w[np.triu_indices(d.n, k=1)], seed)
+    us, vs, _ = _pair_table(d.n)
+    return _sample_pairs(d.n, d.w[us - 1, vs - 1], seed)
 
 
 def degree_lemma_check(f: WeightedGraph, g: WeightedGraph, us: Iterable[int],

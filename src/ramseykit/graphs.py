@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from functools import lru_cache
+from itertools import compress, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -95,9 +96,8 @@ class OrderedGraph:
             raise ValueError("vertex count must be >= 1")
         full = ((1 << (n + 1)) - 1) & ~1
         adj = [0] + [full & ~(1 << v) for v in range(1, n + 1)]
-        us, vs = np.triu_indices(n + 1, k=1)
-        us, vs = us[n:], vs[n:]  # less the pairs (0, v)
-        return cls._trusted(n, adj, tuple(zip(us.tolist(), vs.tolist())), us, vs)
+        us, vs, pairs = _pair_table(n)
+        return cls._trusted(n, adj, tuple(pairs.tolist()), us, vs)
 
     @classmethod
     def empty(cls, n: int) -> "OrderedGraph":
@@ -186,6 +186,17 @@ def gnp_generate(n: int, p: float, seed: int) -> GnpSample:
     return GnpSample(_sample_pairs(n, p, seed), float(p), int(seed))
 
 
+@lru_cache(maxsize=8)
+def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair (u, v), 1 <= u < v <= n, in lexicographic order, as two
+    read-only endpoint arrays and a read-only object array of the (u, v)
+    tuples; shared by all graphs on n vertices, for the last few n."""
+    us, vs = np.add(np.triu_indices(n, k=1), 1)
+    pairs = np.fromiter(zip(us.tolist(), vs.tolist()), dtype=object, count=len(us))
+    us.flags.writeable = vs.flags.writeable = pairs.flags.writeable = False
+    return us, vs, pairs
+
+
 def _sample_pairs(n: int, probs: float | np.ndarray, seed: int) -> OrderedGraph:
     """Keep each pair whose draw falls below its probability.
 
@@ -193,17 +204,18 @@ def _sample_pairs(n: int, probs: float | np.ndarray, seed: int) -> OrderedGraph:
     order; ``probs`` is one probability for every pair or an array giving
     one per pair in that order.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    draws = rng.random(n * (n - 1) // 2)
-    iu, iv = np.triu_indices(n, k=1)
-    chosen = draws < probs
-    us, vs = iu[chosen] + 1, iv[chosen] + 1
+    iu, iv, pairs = _pair_table(n)
+    draws = np.random.Generator(np.random.PCG64(seed)).random(len(pairs))
+    idx = np.flatnonzero(draws < probs)
+    us, vs = iu[idx], iv[idx]
     mask = np.zeros((n + 1, n + 1), dtype=bool)
     mask[us, vs] = True
-    mask[vs, us] = True
-    rows = np.packbits(mask, axis=1, bitorder="little")
-    adj = [int.from_bytes(row, "little") for row in rows]
-    return OrderedGraph._trusted(n, adj, tuple(zip(us.tolist(), vs.tolist())), us, vs)
+    mask |= mask.T
+    width = (n + 8) // 8
+    raw = np.packbits(mask, axis=1, bitorder="little").tobytes()
+    adj = list(map(int.from_bytes, (raw[i:i + width] for i in range(0, len(raw), width)),
+                   repeat("little")))
+    return OrderedGraph._trusted(n, adj, tuple(pairs[idx].tolist()), us, vs)
 
 
 def _extend_cliques(adj: Sequence[int], cand: int, need: int,
@@ -316,24 +328,25 @@ def clean_subgraph(graph: OrderedGraph, ell: int) -> OrderedGraph:
 
     The scan order makes the result unique and deterministic.  For ell = 3
     the removal condition is vacuous (two distinct triangles share at most
-    two vertices) and the graph itself is returned.  For ell >= 4 the
-    result contains no K_{ell+1} and no two K_ell's sharing >= 3 vertices,
-    and the operation is idempotent.
+    two vertices); whenever no edge is removed the graph itself is returned.
+    For ell >= 4 the result contains no K_{ell+1} and no two K_ell's sharing
+    >= 3 vertices, and the operation is idempotent.
     """
     if ell < 3:
         raise ValueError("ell must be >= 3")
     if ell == 3:
         return graph
     adj = list(graph._adj)
-    for u, v in graph.edges:
+    removed = []
+    for i, (u, v) in enumerate(graph.edges):
         if _has_conflicting_clique_pair(adj, adj[u] & adj[v], ell - 2):
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
-    # an edge is kept iff its bit is still set in the final rows
-    width = (graph.n + 8) // 8
-    raw = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in adj), dtype=np.uint8)
-    matrix = np.unpackbits(raw.reshape(-1, width), axis=1, bitorder="little").view(bool)
-    keep = matrix[graph._us, graph._vs]
+            removed.append(i)
+    if not removed:
+        return graph
+    keep = np.ones(graph.edge_count, dtype=bool)
+    keep[removed] = False
     edges = tuple(compress(graph.edges, keep.tolist()))
     return OrderedGraph._trusted(graph.n, adj, edges, graph._us[keep], graph._vs[keep])
 

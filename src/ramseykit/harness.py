@@ -9,13 +9,13 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, fields
+from functools import reduce
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .adversaries import AdversarySpec, _json_int, generate_colouring
 from .colouring import PatternTag
-from .graphs import (_write_lines, clean_subgraph, count_cliques, enumerate_cliques,
-                     gnp_generate, vertex_mask)
+from .graphs import _write_lines, clean_subgraph, enumerate_cliques, gnp_generate
 from .search import (
     ArrowQuery,
     DEFAULT_NODE_BUDGET,
@@ -102,6 +102,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_grid", tuple(self.n_grid))
+        if any(isinstance(c, (str, bool)) for c in self.c_grid):
+            raise ValueError(f"c_grid must list numbers, got {list(self.c_grid)!r}")
         object.__setattr__(self, "c_grid", tuple(float(c) for c in self.c_grid))
         if self.ell < 3:
             raise ValueError("ell must be >= 3")
@@ -157,7 +159,7 @@ class ExperimentConfig:
         return cls(
             ell=_json_int("ell", data["ell"]),
             n_grid=tuple(_json_int("n_grid", n) for n in data["n_grid"]),
-            c_grid=tuple(float(c) for c in data["c_grid"]),
+            c_grid=data["c_grid"],
             adversary=AdversarySpec.from_json(data["adversary"]),
             trials=_json_int("trials", data["trials"]),
             master_seed=_json_int("master_seed", data["master_seed"]),
@@ -359,10 +361,11 @@ class CorollaryReport:
 def verify_corollary_mode(records: Iterable[TrialRecord]) -> CorollaryReport:
     """Re-audit a clean-mode sweep from its seeds.
 
-    For every trial the cleaned graph is regenerated and re-checked: no
-    K_{ell+1}, no two K_ell sharing >= 3 vertices (exhaustive pair check),
-    and any recorded witness must induce a clique of the cleaned graph.
-    A failure raises InvariantBreach and indicates a bug.
+    For every trial the cleaned graph is regenerated and re-checked: at
+    ell >= 4, no K_{ell+1} (no K_ell has a common neighbour) and no two K_ell
+    sharing >= 3 vertices (no triangle lies in two K_ell), and any recorded
+    witness must induce a clique of the cleaned graph.  A failure raises
+    InvariantBreach and indicates a bug.
     """
     recs = list(records)
     witnesses = 0
@@ -371,10 +374,11 @@ def verify_corollary_mode(records: Iterable[TrialRecord]) -> CorollaryReport:
             raise ValueError("verify_corollary_mode requires a clean_mode sweep")
         graph = gnp_generate(rec.n, rec.p, rec.seed).graph
         cleaned = clean_subgraph(graph, rec.ell)
-        if count_cliques(cleaned, rec.ell + 1) != 0:
+        cliques = list(enumerate_cliques(cleaned, rec.ell)) if rec.ell >= 4 else []
+        if any(reduce(int.__and__, map(cleaned.adjacency, clique)) for clique in cliques):
             raise InvariantBreach(f"K_{rec.ell + 1} present after cleaning (seed {rec.seed})")
-        masks = [vertex_mask(cleaned, tup) for tup in enumerate_cliques(cleaned, rec.ell)]
-        if any((a & b).bit_count() >= 3 for a, b in combinations(masks, 2)):
+        triangles = [tri for clique in cliques for tri in combinations(clique, 3)]
+        if len(set(triangles)) < len(triangles):
             raise InvariantBreach(f"two K_{rec.ell} share >= 3 vertices (seed {rec.seed})")
         if rec.found and rec.witness:
             verts = rec.witness

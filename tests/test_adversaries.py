@@ -48,6 +48,18 @@ class TestSpecs:
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             AdversarySpec.from_json(data)
 
+    @pytest.mark.parametrize("key, kwargs", [
+        ("r", {"kind": "RandomR", "r": 2.5}),
+        ("r", {"kind": "RandomR", "r": True}),
+        ("r", {"kind": "BoundedRandom", "r": 4.0, "lam": 2}),
+        ("lambda", {"kind": "BoundedRandom", "lam": 1.5}),
+        ("lambda", {"kind": "BoundedRandom", "lam": True}),
+    ])
+    def test_constructor_refuses_non_integer_numbers(self, key, kwargs):
+        # r=2.5 would make RandomR draw from {0, 1}
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            AdversarySpec(**kwargs)
+
     def test_from_json_keeps_absent_and_null_numbers(self):
         spec = AdversarySpec.from_json({"kind": "BoundedRandom", "r": None, "lambda": 2})
         assert spec == AdversarySpec("BoundedRandom", lam=2, seed=0)

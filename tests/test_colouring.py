@@ -165,6 +165,15 @@ class TestColourDegrees:
         assert directed_colour_degree(phi, 2, rest, 2, "<") == 4
         assert directed_colour_degree(phi, 2, rest, 2, ">") == 0
 
+    @pytest.mark.parametrize("v", [0, 6, -1])
+    def test_vertex_outside_host_is_refused(self, v):
+        # v = 0 used to count nothing and v = n + 1 to raise IndexError
+        phi = generate_colouring(OrderedGraph.complete(5), AdversarySpec("MinOrder"))
+        with pytest.raises(ValueError, match=f"vertex {v} outside"):
+            colour_degree(phi, v, [1, 2, 3], 1)
+        with pytest.raises(ValueError, match=f"vertex {v} outside"):
+            directed_colour_degree(phi, v, [1, 2, 3], 1, "<")
+
     def test_injective_at_most_one(self):
         phi = generate_colouring(OrderedGraph.complete(7), AdversarySpec("Injective"))
         for v in phi.host.vertices:

@@ -1,12 +1,14 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramseykit import (
     OrderedGraph,
+    WeightedGraph,
     clean_subgraph,
     count_cliques,
     degree_into,
@@ -14,9 +16,10 @@ from ramseykit import (
     enumerate_cliques,
     gnp_generate,
     read_graph,
+    sample_graph_from_weights,
     write_graph,
 )
-from ramseykit.graphs import _has_conflicting_clique_pair
+from ramseykit.graphs import _has_conflicting_clique_pair, _pair_table
 
 
 def brute_cliques(graph, ell):
@@ -97,6 +100,71 @@ class TestGnp:
         expected = 64 * 63 * 62 * 61 * 0.5**6
         total = sum(count_cliques(gnp_generate(64, 0.5, s).graph, 4) for s in range(200))
         assert abs(total / 200 - expected) <= 0.05 * expected
+
+
+def reference_sample(n, probs, seed):
+    """Independent oracle for the draw contract: one PCG64(seed).random()
+    per pair in lexicographic order, the pair kept iff its draw is below its
+    probability.  Returns the edge list and the bitset rows."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    probs = np.broadcast_to(probs, (len(pairs),)).tolist()
+    edges = [pair for pair, q in zip(pairs, probs) if rng.random() < q]
+    adj = [0] * (n + 1)
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return edges, adj
+
+
+def assert_sampled(graph, n, probs, seed):
+    edges, adj = reference_sample(n, probs, seed)
+    assert graph.n == n
+    assert type(graph.edges) is tuple and graph.edges == tuple(edges)
+    assert graph._adj == adj
+    assert graph._us.tolist() == [u for u, _ in edges]
+    assert graph._vs.tolist() == [v for _, v in edges]
+
+
+probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+seeds = st.integers(0, 2**63 - 1)
+
+
+class TestPairSampling:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), probabilities, seeds)
+    def test_gnp_matches_reference(self, n, p, seed):
+        assert_sampled(gnp_generate(n, p, seed).graph, n, p, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), seeds, seeds, probabilities)
+    def test_weights_match_reference(self, n, seed, weight_seed, share):
+        # per-pair probabilities: uniform values, with a share of them set to 0 or 1
+        rng = np.random.default_rng(weight_seed)
+        upper = np.triu(rng.random((n, n)), 1)
+        upper[rng.random((n, n)) < share] = 0.0
+        upper[np.triu(rng.random((n, n)) < share / 2, 1)] = 1.0
+        probs = upper[np.triu_indices(n, 1)]
+        graph = sample_graph_from_weights(WeightedGraph(upper + upper.T), seed)
+        assert_sampled(graph, n, probs, seed)
+
+    def test_pair_table_is_read_only_and_bounded(self):
+        for table in _pair_table(7):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = table[1]
+        for n in range(1, 30):
+            _pair_table(n)
+        assert _pair_table.cache_info().currsize <= 8
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_complete_unchanged(self, n):
+        graph = OrderedGraph.complete(n)
+        expected = OrderedGraph(n, itertools.combinations(range(1, n + 1), 2))
+        assert type(graph.edges) is tuple and graph.edges == expected.edges
+        assert graph._adj == expected._adj
+        assert graph._us.tolist() == expected._us.tolist()
+        assert graph._vs.tolist() == expected._vs.tolist()
 
 
 class TestCliques:

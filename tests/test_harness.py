@@ -1,7 +1,10 @@
+import itertools
 import json
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramseykit import (
     AdversarySpec,
@@ -17,6 +20,7 @@ from ramseykit import (
     write_records_csv,
     write_summary_csv,
 )
+from ramseykit import harness
 from ramseykit.harness import RECORD_COLUMNS, SUMMARY_COLUMNS
 
 
@@ -127,6 +131,17 @@ class TestConfig:
         data["adversary"] = {"kind": "BoundedRandom", "r": 5, "lambda": 2, key: value}
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             ExperimentConfig.from_json(data)
+
+    @pytest.mark.parametrize("value", ["1.5", True])
+    def test_from_json_refuses_non_numeric_c(self, value):
+        # float() would run "c_grid": ["1.5", true] as (1.5, 1.0)
+        data = {**small_config().to_json(), "c_grid": [0.5, value]}
+        with pytest.raises(ValueError, match="c_grid must list numbers"):
+            ExperimentConfig.from_json(data)
+
+    def test_from_json_accepts_integer_c(self):
+        data = {**small_config().to_json(), "c_grid": [1, 2.5]}
+        assert ExperimentConfig.from_json(data).c_grid == (1.0, 2.5)
 
     @pytest.mark.parametrize("grid", [{"n_grid": (30, 30)}, {"c_grid": (1.0, 1)}])
     def test_rejects_duplicate_grid_values(self, grid):
@@ -243,6 +258,13 @@ class TestSweep:
         ]
 
 
+def unfound_clean_record(ell):
+    """A clean-mode trial record with no witness, for auditing a stand-in
+    cleaned graph."""
+    return TrialRecord(ell=ell, n=6, c=1.0, p=0.5, adversary="GreedyProper", clean=True,
+                       trial=0, seed=7, found=False, pattern="", elapsed_ms=0)
+
+
 class TestCorollaryMode:
     def test_clean_sweep_verifies(self):
         cfg = small_config(clean_mode=True, n_grid=(24,), c_grid=(1.5,), trials=5,
@@ -293,6 +315,57 @@ class TestCorollaryMode:
                 verify_corollary_mode([forged])
         else:
             verify_corollary_mode([forged])
+
+    def test_ell_3_sweep_verifies(self):
+        # cleaning at ell = 3 removes nothing, so the audit must not demand "no K_4"
+        cfg = ExperimentConfig(ell=3, n_grid=(30,), c_grid=(2.0,), clean_mode=True,
+                               adversary=AdversarySpec("GreedyProper"), trials=2, master_seed=1)
+        report = verify_corollary_mode(run_sweep(cfg).records)
+        assert report.trials_checked == 2
+
+    @pytest.mark.parametrize("edges, message", [
+        # K_5 also holds K_4's sharing a triangle: the K_5 check comes first
+        (list(itertools.combinations(range(1, 6), 2)), "K_5 present after cleaning"),
+        # K_5 minus the edge 45: the K_4's 1234 and 1235 share the triangle 123
+        ([e for e in itertools.combinations(range(1, 6), 2) if e != (4, 5)],
+         "two K_4 share >= 3 vertices"),
+    ])
+    def test_audit_reports_each_breach(self, monkeypatch, edges, message):
+        rec = unfound_clean_record(4)
+        monkeypatch.setattr(harness, "clean_subgraph", lambda graph, ell: OrderedGraph(6, edges))
+        with pytest.raises(InvariantBreach, match=f"{message} \\(seed {rec.seed}\\)"):
+            verify_corollary_mode([rec])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from([4, 5]))
+    def test_audit_matches_brute_force(self, data, ell):
+        # graphs the audit could be handed, against a subset-by-subset oracle;
+        # OR-ing masks makes the dense graphs that hold K_5 and K_6 likely
+        n = data.draw(st.integers(1, 9))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        mask = 0
+        for _ in range(data.draw(st.integers(1, 4))):
+            mask |= data.draw(st.integers(0, 2 ** len(pairs) - 1))
+        graph = OrderedGraph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+
+        def cliques(k):
+            return [set(c) for c in itertools.combinations(graph.vertices, k)
+                    if all(graph.has_edge(a, b) for a, b in itertools.combinations(c, 2))]
+
+        if cliques(ell + 1):
+            expected = f"K_{ell + 1} present"
+        elif any(len(a & b) >= 3 for a, b in itertools.combinations(cliques(ell), 2)):
+            expected = f"two K_{ell} share"
+        else:
+            expected = None
+        rec = unfound_clean_record(ell)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "clean_subgraph", lambda g, k: graph)
+            if expected is None:
+                assert verify_corollary_mode([rec]).trials_checked == 1
+            else:
+                with pytest.raises(InvariantBreach, match=expected):
+                    verify_corollary_mode([rec])
 
     @pytest.mark.parametrize("shift", [-25, 25])
     def test_out_of_range_witness_is_a_breach(self, shift):
