@@ -7,7 +7,7 @@ import argparse
 import json
 import logging
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .adversaries import AdversarySpec, generate_colouring
 from .colouring import CanonicalWitness, read_colouring, write_colouring
@@ -33,10 +33,32 @@ from .search import (
 __all__ = ["main"]
 
 
-def _parse_vertices(text: Optional[str]) -> Optional[list[int]]:
-    if text is None:
-        return None
-    return [int(tok) for tok in text.replace(",", " ").split()]
+# argparse types: a bad value exits with status 2 and names its flag
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def convert(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+    return convert
+
+
+def _vertices(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected vertices like '1,2,5', got {text!r}") from None
+
+
+def _adversary(text: str) -> AdversarySpec:
+    try:
+        return AdversarySpec.from_json(json.loads(text))
+    except (ValueError, TypeError, KeyError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected a spec such as '{{\"kind\": \"MinOrder\"}}', got {text!r} ({exc})") from None
 
 
 def _print_witness(label: str, ell: int, witness: CanonicalWitness) -> None:
@@ -49,11 +71,10 @@ def _print_witness(label: str, ell: int, witness: CanonicalWitness) -> None:
 def _cmd_find(args: argparse.Namespace) -> int:
     graph = read_graph(args.graph)
     phi = read_colouring(args.colouring, graph)
-    within = _parse_vertices(args.set)
     if args.rainbow:
-        outcome = find_rainbow_copy(phi, args.ell, within)
+        outcome = find_rainbow_copy(phi, args.ell, args.set)
     else:
-        outcome = find_canonical_copy(phi, args.ell, within)
+        outcome = find_canonical_copy(phi, args.ell, args.set)
     if not outcome.found:
         print(f"no {'rainbow' if args.rainbow else 'canonical'} K_{args.ell} "
               f"({outcome.nodes_explored} nodes explored)")
@@ -92,9 +113,7 @@ def _cmd_arrow(args: argparse.Namespace) -> int:
 
 
 def _cmd_er_demo(args: argparse.Namespace) -> int:
-    spec = AdversarySpec.from_json(json.loads(args.adversary))
-    host = OrderedGraph.complete(args.n)
-    phi = generate_colouring(host, spec)
+    phi = generate_colouring(OrderedGraph.complete(args.n), args.adversary)
     try:
         result = er_find(phi, args.ell, seed=args.seed)
     except NoWitness as exc:
@@ -144,24 +163,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_find = sub.add_parser("find", help="search a coloured graph for a canonical or rainbow clique")
     p_find.add_argument("--graph", required=True)
     p_find.add_argument("--colouring", required=True)
-    p_find.add_argument("--ell", type=int, required=True)
+    p_find.add_argument("--ell", type=_int_at_least(3), required=True)
     p_find.add_argument("--rainbow", action="store_true", help="search for rainbow copies only")
-    p_find.add_argument("--set", default=None, help="restrict to these vertices, e.g. '1,2,5'")
+    p_find.add_argument("--set", type=_vertices, default=None,
+                        help="restrict to these vertices, e.g. '1,2,5'")
     p_find.add_argument("--witness-out", default=None)
     p_find.set_defaults(func=_cmd_find)
 
     p_arrow = sub.add_parser("arrow", help="decide whether every r-colouring has a monochromatic clique")
     p_arrow.add_argument("--graph", required=True)
-    p_arrow.add_argument("--ell", type=int, required=True)
-    p_arrow.add_argument("--colours", type=int, required=True)
+    p_arrow.add_argument("--ell", type=_int_at_least(3), required=True)
+    p_arrow.add_argument("--colours", type=_int_at_least(2), required=True)
     p_arrow.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p_arrow.add_argument("--witness-out", default=None)
     p_arrow.set_defaults(func=_cmd_arrow)
 
     p_demo = sub.add_parser("er-demo", help="run the constructive procedure on a coloured complete graph")
-    p_demo.add_argument("--n", type=int, required=True)
-    p_demo.add_argument("--ell", type=int, required=True)
-    p_demo.add_argument("--adversary", required=True,
+    p_demo.add_argument("--n", type=_int_at_least(1), required=True)
+    p_demo.add_argument("--ell", type=_int_at_least(3), required=True)
+    p_demo.add_argument("--adversary", type=_adversary, required=True,
                         help='JSON, e.g. \'{"kind": "MinOrder"}\' or \'{"kind": "RandomR", "r": 5, "seed": 3}\'')
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.set_defaults(func=_cmd_er_demo)

@@ -153,27 +153,33 @@ def build_sequence(phi: EdgeColouring,
         palette, labels = np.arange(-1, top + 1), matrix + 1
     else:
         palette, labels = np.unique(matrix, return_inverse=True)
-    base = labels.reshape(matrix.shape) * 2 + np.tri(n + 1, k=-1, dtype=np.int64)  # + (w < v)
+    # keys[v, w] = (v, label, w < v) in one int: it orders like (v, c, "<"
+    # before ">"), never collides across rows and decodes with divmod
     span = 2 * len(palette)
-    surviving = np.arange(1, n + 1)
+    index = np.arange(n + 1)
+    keys = labels.reshape(matrix.shape) * 2 + index[:, None] * span
+    keys += index < index[:, None]
+    surviving = index[1:]
     steps: list[SequenceStep] = []
     trace: list[tuple[int, ...]] = []
     for i in range(1, consts.length + 1):
         s = len(surviving)
-        threshold = delta * s / 2.0
-        # the key (row, colour, w < v) orders like (v, c, "<" before ">")
-        keys = base[surviving[:, None], surviving] + np.arange(0, s * span, span)[:, None]
-        np.fill_diagonal(keys, -1)
-        found, counts = np.unique(keys, return_counts=True)
-        counts[0] = 0  # found[0] is the diagonal's -1
-        best = counts.argmax()  # the first maximum has the smallest key
-        if not counts[best] > threshold:
+        # the survivors' key block, the diagonal as -1 and a sentinel above
+        # them all, sorted: each run of equal keys is one (v, c, dir) degree
+        flat = np.empty(s * s + 1, dtype=np.int64)
+        flat[:-1].reshape(s, s)[...] = keys[1:, 1:] if i == 1 else keys[surviving[:, None], surviving]
+        flat[:-1:s + 1] = -1
+        flat[-1] = (n + 1) * span
+        flat.sort()
+        ends = (flat[1:] != flat[:-1]).nonzero()[0]
+        counts = ends[1:] - ends[:-1]  # the runs after the diagonal's: none if s = 1
+        best = counts.argmax() if s > 1 else None  # the first maximum has the smallest key
+        if best is None or not counts[best] > delta * s / 2.0:
             return BoundedSubsetSignal(tuple(surviving.tolist()), delta)
-        key = found[best]
-        row, rest = divmod(int(key), span)
-        v = int(surviving[row])
+        key = int(flat[ends[best + 1]])
+        v, rest = divmod(key, span)
         steps.append(SequenceStep(v, int(palette[rest // 2]), ">" if rest % 2 else "<"))
-        surviving = surviving[keys[row] == key]
+        surviving = surviving[keys[v, surviving] == key]
         trace.append(tuple(surviving.tolist()))
         # nested-neighbourhood size bound, relative to the original n
         assert len(surviving) > (delta / 2.0) ** i * n

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress, repeat
+from threading import Lock
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -186,15 +186,27 @@ def gnp_generate(n: int, p: float, seed: int) -> GnpSample:
     return GnpSample(_sample_pairs(n, p, seed), float(p), int(seed))
 
 
-@lru_cache(maxsize=8)
+_PAIR_CAP = 1 << 20  # pairs cached over every n together
+_pair_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_pair_lock = Lock()
+
+
 def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pair (u, v), 1 <= u < v <= n, in lexicographic order, as two
     read-only endpoint arrays and a read-only object array of the (u, v)
-    tuples; shared by all graphs on n vertices, for the last few n."""
-    us, vs = np.add(np.triu_indices(n, k=1), 1)
-    pairs = np.fromiter(zip(us.tolist(), vs.tolist()), dtype=object, count=len(us))
-    us.flags.writeable = vs.flags.writeable = pairs.flags.writeable = False
-    return us, vs, pairs
+    tuples; shared by all graphs on n vertices.  The most recently used n
+    stay cached while they hold at most _PAIR_CAP pairs together."""
+    with _pair_lock:
+        table = _pair_tables.pop(n, None)
+        if table is None:
+            us, vs = np.add(np.triu_indices(n, k=1), 1)
+            pairs = np.fromiter(zip(us.tolist(), vs.tolist()), dtype=object, count=len(us))
+            us.flags.writeable = vs.flags.writeable = pairs.flags.writeable = False
+            table = us, vs, pairs
+        _pair_tables[n] = table  # insertion order is use order, oldest first
+        while sum(len(t[0]) for t in _pair_tables.values()) > _PAIR_CAP:
+            del _pair_tables[next(iter(_pair_tables))]
+    return table
 
 
 def _sample_pairs(n: int, probs: float | np.ndarray, seed: int) -> OrderedGraph:

@@ -124,3 +124,23 @@ def test_sweep_clean_mode_with_verify(tmp_path, capsys):
     code = main(["sweep", "--config", str(cpath), "--out", str(out), "--verify"])
     assert code == 0
     assert "clean-mode audit: 3 trials re-checked" in capsys.readouterr().out
+
+
+MIN_ORDER = '{"kind": "MinOrder"}'
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["er-demo", "--n", "0", "--ell", "3", "--adversary", MIN_ORDER], "--n"),
+    (["er-demo", "--n", "5", "--ell", "2", "--adversary", MIN_ORDER], "--ell"),
+    (["er-demo", "--n", "5", "--ell", "3", "--adversary", "notjson"], "--adversary"),
+    (["find", "--graph", "g", "--colouring", "c", "--ell", "2"], "--ell"),
+    (["find", "--graph", "g", "--colouring", "c", "--ell", "3", "--set", "1,x"], "--set"),
+    (["arrow", "--graph", "g", "--ell", "3", "--colours", "1"], "--colours"),
+])
+def test_bad_argument_exits_2_naming_the_flag(argv, flag, capsys):
+    # checked at parse time, before any file is read
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert message.startswith(f"ramseykit {argv[0]}: error: argument {flag}: ")

@@ -154,6 +154,32 @@ class TestBuildSequenceOracle:
         assert [(s.vertex, s.colour - shift, s.direction) for s in got.steps] == [
             (s.vertex, s.colour, s.direction) for s in want.steps]
 
+    # (n, colours by edge, the one step taken or None for a bounded signal)
+    RUN_EDGES = {
+        "K1 only the diagonal": (1, {}, None),
+        "K2 tie goes to (1, c, <)": (2, {(1, 2): 4}, ((1, 4, "<"), (2,))),
+        "K3 largest run is the last key": (
+            3, {(1, 2): 0, (1, 3): 1, (2, 3): 1}, ((3, 1, ">"), (1, 2))),
+        "tie between two rows": (
+            4, {(1, 2): 1, (1, 3): 2, (1, 4): 0, (2, 3): 7, (2, 4): 7, (3, 4): 0},
+            ((2, 7, "<"), (3, 4))),
+    }
+
+    @pytest.mark.parametrize("shift", [0, 2**63 - 9])
+    @pytest.mark.parametrize("case", RUN_EDGES)
+    def test_run_count_edge_cases(self, case, shift):
+        n, colours, want = self.RUN_EDGES[case]
+        phi = EdgeColouring(OrderedGraph.complete(n), {e: c + shift for e, c in colours.items()})
+        consts = ErConstants(ell=3, delta=0.05, length=1)
+        got = build_sequence(phi, consts)
+        assert_same_outcome(got, reference_build_sequence(phi, consts))
+        if want is None:
+            assert got == BoundedSubsetSignal((1,), consts.delta)
+        else:
+            (v, c, direction), survivors = want
+            assert got.steps == (SequenceStep(v, c + shift, direction),)
+            assert got.survivors == (survivors,)
+
 
 class TestConstants:
     def test_defaults(self):

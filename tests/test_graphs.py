@@ -19,6 +19,7 @@ from ramseykit import (
     sample_graph_from_weights,
     write_graph,
 )
+from ramseykit import graphs
 from ramseykit.graphs import _has_conflicting_clique_pair, _pair_table
 
 
@@ -148,14 +149,32 @@ class TestPairSampling:
         graph = sample_graph_from_weights(WeightedGraph(upper + upper.T), seed)
         assert_sampled(graph, n, probs, seed)
 
-    def test_pair_table_is_read_only_and_bounded(self):
-        for table in _pair_table(7):
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0] = table[1]
+    def test_pair_table_is_read_only_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_pair_tables", {})
+
+        def held():
+            return sum(len(us) for us, _, _ in graphs._pair_tables.values())
+
+        for n in (1000, 60, 120, 7):
+            us, vs, pairs = _pair_table(n)
+            for table in (us, vs, pairs):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0] = table[1]
+            want = list(itertools.combinations(range(1, n + 1), 2))
+            assert pairs.tolist() == want and list(zip(us.tolist(), vs.tolist())) == want
+            assert held() <= graphs._PAIR_CAP
+        assert list(graphs._pair_tables) == [1000, 60, 120, 7]
+        # a smaller cap drops the least recently used n first
+        monkeypatch.setattr(graphs, "_pair_tables", {})
+        monkeypatch.setattr(graphs, "_PAIR_CAP", 120)
+        for n, cached in [(10, [10]), (12, [10, 12]), (10, [12, 10]), (8, [10, 8]),
+                          (16, [16]), (17, [])]:
+            assert _pair_table(n)[2].tolist() == list(itertools.combinations(range(1, n + 1), 2))
+            assert list(graphs._pair_tables) == cached
         for n in range(1, 30):
             _pair_table(n)
-        assert _pair_table.cache_info().currsize <= 8
+            assert held() <= 120
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_complete_unchanged(self, n):
