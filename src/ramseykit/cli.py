@@ -61,6 +61,26 @@ def _adversary(text: str) -> AdversarySpec:
             f"expected a spec such as '{{\"kind\": \"MinOrder\"}}', got {text!r} ({exc})") from None
 
 
+class _InputError(Exception):
+    """A flag whose value parses but names an unreadable or malformed file,
+    or does not fit its input; ``main`` prints it as one line and exits
+    with status 2."""
+
+
+def _read(flag: str, reader: Callable, path: str, *args):
+    try:
+        return reader(path, *args)
+    except OSError as exc:
+        raise _InputError(f"argument {flag}: cannot read {path!r}: {exc.strerror}") from None
+    except ValueError as exc:  # malformed content; the readers name the line
+        raise _InputError(f"argument {flag}: {path!r}: {exc}") from None
+
+
+def _read_config(path: str) -> ExperimentConfig:
+    with open(path) as fh:
+        return ExperimentConfig.from_json(json.load(fh))
+
+
 def _print_witness(label: str, ell: int, witness: CanonicalWitness) -> None:
     tags = ", ".join(sorted(t.value for t in witness.tags))
     print(f"{label} K_{ell} on {witness.vertices} with tags: {tags}")
@@ -69,8 +89,11 @@ def _print_witness(label: str, ell: int, witness: CanonicalWitness) -> None:
 
 
 def _cmd_find(args: argparse.Namespace) -> int:
-    graph = read_graph(args.graph)
-    phi = read_colouring(args.colouring, graph)
+    graph = _read("--graph", read_graph, args.graph)
+    phi = _read("--colouring", read_colouring, args.colouring, graph)
+    outside = [v for v in args.set or () if not 1 <= v <= graph.n]
+    if outside:
+        raise _InputError(f"argument --set: vertex {outside[0]} outside {{1,...,{graph.n}}}")
     if args.rainbow:
         outcome = find_rainbow_copy(phi, args.ell, args.set)
     else:
@@ -93,7 +116,7 @@ def _cmd_find(args: argparse.Namespace) -> int:
 
 
 def _cmd_arrow(args: argparse.Namespace) -> int:
-    graph = read_graph(args.graph)
+    graph = _read("--graph", read_graph, args.graph)
     query = ArrowQuery(ell=args.ell, r=args.colours)
     try:
         outcome = arrows_mono(graph, query, budget=args.budget)
@@ -132,8 +155,7 @@ def _cmd_er_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    with open(args.config) as fh:
-        config = ExperimentConfig.from_json(json.load(fh))
+    config = _read("--config", _read_config, args.config)
     result = run_sweep(config, threads=args.threads)
     write_records_csv(result.records, args.out)
     summary_path = args.out.rsplit(".", 1)[0] + ".summary.csv"
@@ -174,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_arrow.add_argument("--graph", required=True)
     p_arrow.add_argument("--ell", type=_int_at_least(3), required=True)
     p_arrow.add_argument("--colours", type=_int_at_least(2), required=True)
-    p_arrow.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p_arrow.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_NODE_BUDGET)
     p_arrow.add_argument("--witness-out", default=None)
     p_arrow.set_defaults(func=_cmd_arrow)
 
@@ -190,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--json", default=None)
-    p_sweep.add_argument("--threads", type=int, default=1)
+    p_sweep.add_argument("--threads", type=_int_at_least(1), default=1)
     p_sweep.add_argument("--verify", action="store_true",
                          help="re-audit clean-mode invariants after the sweep")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -201,7 +223,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

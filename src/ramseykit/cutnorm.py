@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -241,33 +242,43 @@ def cutnorm_heuristic(f: WeightedGraph, restarts: int = 20, seed: int = 0) -> fl
         raise ValueError("restarts must be >= 1")
     n = f.n
     M = f.w
-    rng = np.random.Generator(np.random.PCG64(seed))
-    best = 0.0
-    for restart in range(restarts):
-        w0 = rng.random(n) < 0.5
-        if not w0.any():
-            w0[restart % n] = True
-        for sign in (1.0, -1.0):
-            wsel = w0.astype(np.float64)
-            value = 0.0
-            for _ in range(200):
-                col = M @ wsel
-                usel = (sign * col > 0.0).astype(np.float64)
-                row = usel @ M
-                wsel = (sign * row > 0.0).astype(np.float64)
-                new_value = sign * float(usel @ M @ wsel)
-                if new_value <= value + 1e-15:
-                    value = max(value, new_value)
-                    break
-                value = new_value
-            if value > best:
-                best = value
-    return best / (n * n)
+    # one row per restart, drawn in the order of per-restart random(n) calls
+    starts = np.random.Generator(np.random.PCG64(seed)).random((restarts, n)) < 0.5
+    empty = np.flatnonzero(~starts.any(axis=1))
+    starts[empty, empty % n] = True
+    # every restart in both sign directions ascends at once, one row each;
+    # negating a sum is exact, so sign * (W @ M) is the ascent of sign * M
+    sign = np.repeat([[1.0], [-1.0]], restarts, axis=0)
+    wsel = np.vstack([starts, starts]).astype(np.float64)
+    value = np.zeros(2 * restarts)
+    live = np.arange(2 * restarts)  # rows still ascending, in wsel's row order
+    for _ in range(200):
+        usel = (sign * (wsel @ M.T) > 0.0).astype(np.float64)
+        row = sign * (usel @ M)
+        wsel = (row > 0.0).astype(np.float64)
+        new_value = np.einsum("ij,ij->i", row, wsel)
+        old = value[live]
+        done = new_value <= old + 1e-15
+        value[live] = np.where(done, np.maximum(old, new_value), new_value)
+        if done.any():
+            keep = ~done
+            live, wsel, sign = live[keep], wsel[keep], sign[keep]
+            if not live.size:
+                break
+    return float(value.max()) / (n * n)
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 _DIRECT_PATTERN_GUARD = 5
+
+
+@lru_cache(maxsize=64)
+def _einsum_path(spec: str, n: int, count: int) -> tuple:
+    """The contraction path ``optimize=True`` picks for ``spec`` over
+    ``count`` n x n operands; it depends on the shapes only."""
+    shape_only = np.empty((n, n))
+    return tuple(np.einsum_path(spec + "->", *([shape_only] * count), optimize=True)[0])
 
 
 def hom_density(f: WeightedGraph, pattern: PatternGraph) -> float:
@@ -291,7 +302,8 @@ def hom_density(f: WeightedGraph, pattern: PatternGraph) -> float:
     if ell > _DIRECT_PATTERN_GUARD:
         raise TooLarge(f"direct summation guarded at {_DIRECT_PATTERN_GUARD} pattern vertices")
     spec = ",".join(_LETTERS[u - 1] + _LETTERS[v - 1] for u, v in sorted(pattern.edges))
-    value = float(np.einsum(spec + "->", *([f.w] * pattern.edge_count), optimize=True))
+    count = pattern.edge_count
+    value = float(np.einsum(spec + "->", *([f.w] * count), optimize=_einsum_path(spec, n, count)))
     touched = {v for e in pattern.edges for v in e}
     isolated = ell - len(touched)
     return value * n**isolated / n**ell

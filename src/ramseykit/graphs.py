@@ -30,6 +30,16 @@ __all__ = [
 ]
 
 
+def _rows(n: int, edges: Sequence[Edge]) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Bitset rows and endpoint arrays of valid, lexicographically sorted edges."""
+    adj = [0] * (n + 1)
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    us, vs = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    return adj, us, vs
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -61,8 +71,6 @@ class OrderedGraph:
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 1:
             raise ValueError("vertex count must be >= 1")
-        self.n = n
-        adj = [0] * (n + 1)
         seen: set[Edge] = set()
         for u, v in edges:
             u, v = normalise_edge(u, v)
@@ -71,11 +79,9 @@ class OrderedGraph:
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        self._adj = adj
+        self.n = n
         self._edges = tuple(sorted(seen))
-        self._us, self._vs = np.array(self._edges, dtype=np.intp).reshape(-1, 2).T
+        self._adj, self._us, self._vs = _rows(n, self._edges)
 
     @classmethod
     def _trusted(cls, n: int, adj: list[int], edges: tuple[Edge, ...],
@@ -415,7 +421,6 @@ def read_graph(path: str) -> OrderedGraph:
         raise ValueError(f"line {top}: vertex count must be >= 1")
     if len(records) != m:
         raise ValueError(f"header announces {m} edges, file has {len(records)}")
-    edges: list[Edge] = []
     seen: set[Edge] = set()
     for idx, (u, v) in records:
         if u == v:
@@ -426,5 +431,6 @@ def read_graph(path: str) -> OrderedGraph:
         if edge in seen:
             raise ValueError(f"line {idx}: duplicate edge {edge}")
         seen.add(edge)
-        edges.append(edge)
-    return OrderedGraph(n, edges)
+    edges = tuple(sorted(seen))
+    adj, us, vs = _rows(n, edges)
+    return OrderedGraph._trusted(n, adj, edges, us, vs)

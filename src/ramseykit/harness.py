@@ -258,13 +258,15 @@ def _run_trial(args: tuple[ExperimentConfig, int, int, float, int]) -> TrialReco
     graph = gnp_generate(n, p, seed).graph
     if config.clean_mode:
         graph = clean_subgraph(graph, config.ell)
-    phi = generate_colouring(graph, config.adversary.with_seed(derive_seed(seed, 1)))
+    arrow = config.predicate == "mono_after_2colour"
+    if not arrow:  # the arrow predicate never reads a colouring
+        phi = generate_colouring(graph, config.adversary.with_seed(derive_seed(seed, 1)))
 
     start = time.perf_counter()
     found = False
     pattern = ""
     witness = None
-    if config.predicate == "mono_after_2colour":
+    if arrow:
         try:
             found = arrows_mono(graph, ArrowQuery(config.ell, 2), config.budget).arrows
         except ResourceLimitError:

@@ -136,6 +136,10 @@ MIN_ORDER = '{"kind": "MinOrder"}'
     (["find", "--graph", "g", "--colouring", "c", "--ell", "2"], "--ell"),
     (["find", "--graph", "g", "--colouring", "c", "--ell", "3", "--set", "1,x"], "--set"),
     (["arrow", "--graph", "g", "--ell", "3", "--colours", "1"], "--colours"),
+    (["arrow", "--graph", "g", "--ell", "3", "--colours", "2", "--budget", "-1"], "--budget"),
+    (["arrow", "--graph", "g", "--ell", "3", "--colours", "2", "--budget", "0"], "--budget"),
+    (["sweep", "--config", "c", "--out", "o", "--threads", "0"], "--threads"),
+    (["sweep", "--config", "c", "--out", "o", "--threads", "-3"], "--threads"),
 ])
 def test_bad_argument_exits_2_naming_the_flag(argv, flag, capsys):
     # checked at parse time, before any file is read
@@ -144,3 +148,62 @@ def test_bad_argument_exits_2_naming_the_flag(argv, flag, capsys):
     assert exc.value.code == 2
     message = capsys.readouterr().err.splitlines()[-1]
     assert message.startswith(f"ramseykit {argv[0]}: error: argument {flag}: ")
+
+
+def _input_error(argv, capsys):
+    """Run argv, expect exit status 2, return its only stderr line."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    return line
+
+
+def test_set_vertex_outside_graph_exits_2(coloured_files, capsys):
+    gpath, cpath = coloured_files
+    line = _input_error(["find", "--graph", str(gpath), "--colouring", str(cpath),
+                         "--ell", "3", "--set", "1,99"], capsys)
+    assert line == "ramseykit find: error: argument --set: vertex 99 outside {1,...,12}"
+
+
+@pytest.mark.parametrize("flag", ["--graph", "--colouring"])
+def test_missing_find_input_exits_2(flag, coloured_files, tmp_path, capsys):
+    gpath, cpath = coloured_files
+    missing = str(tmp_path / "missing.txt")
+    files = {"--graph": str(gpath), "--colouring": str(cpath), flag: missing}
+    line = _input_error(["find", "--graph", files["--graph"], "--colouring", files["--colouring"],
+                         "--ell", "3"], capsys)
+    assert line == (f"ramseykit find: error: argument {flag}: "
+                    f"cannot read {missing!r}: No such file or directory")
+
+
+def test_missing_config_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    line = _input_error(["sweep", "--config", missing, "--out", str(tmp_path / "o.csv")], capsys)
+    assert line == (f"ramseykit sweep: error: argument --config: "
+                    f"cannot read {missing!r}: No such file or directory")
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--graph", "4 2\n1 2\n2 1\n", "line 3: duplicate edge (1, 2)"),
+    ("--colouring", "12 1\n1 2 x\n", "line 2: expected 'u v c', got '1 2 x'"),
+    ("--config", '{"ell": 4', "Expecting ',' delimiter: line 1 column 10 (char 9)"),
+    ("--config", '{"ell": 4, "color": 1}', "unknown sweep config keys: color"),
+])
+def test_malformed_input_file_exits_2(flag, text, message, coloured_files, tmp_path, capsys):
+    gpath, cpath = coloured_files
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    if flag == "--config":
+        command = "sweep"
+        argv = ["sweep", "--config", str(bad), "--out", str(tmp_path / "o.csv")]
+    else:
+        command = "find"
+        files = {"--graph": str(gpath), "--colouring": str(cpath), flag: str(bad)}
+        argv = ["find", "--graph", files["--graph"], "--colouring", files["--colouring"],
+                "--ell", "3"]
+    line = _input_error(argv, capsys)
+    assert line == f"ramseykit {command}: error: argument {flag}: {str(bad)!r}: {message}"

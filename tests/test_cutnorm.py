@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ramseykit import (
     EXACT_CUTNORM_GUARD,
@@ -28,6 +30,7 @@ from ramseykit import (
     two_density,
     write_weighted,
 )
+from ramseykit.cutnorm import _einsum_path
 
 K3 = PatternGraph.complete(3)
 
@@ -62,6 +65,40 @@ def single_block_cutnorm(f):
         best = max(best, np.maximum(sums, 0.0).sum(axis=1).max(),
                    np.maximum(-sums, 0.0).sum(axis=1).max())
     return best / n**2
+
+
+def reference_heuristic(f, restarts=20, seed=0):
+    """Reference: one scalar sign ascent per restart and sign, drawing each
+    start with its own random(n) call."""
+    n = f.n
+    M = f.w
+    rng = np.random.Generator(np.random.PCG64(seed))
+    best = 0.0
+    for restart in range(restarts):
+        w0 = rng.random(n) < 0.5
+        if not w0.any():
+            w0[restart % n] = True
+        for sign in (1.0, -1.0):
+            wsel = w0.astype(np.float64)
+            value = 0.0
+            for _ in range(200):
+                col = M @ wsel
+                usel = (sign * col > 0.0).astype(np.float64)
+                row = usel @ M
+                wsel = (sign * row > 0.0).astype(np.float64)
+                new_value = sign * float(usel @ M @ wsel)
+                if new_value <= value + 1e-15:
+                    value = max(value, new_value)
+                    break
+                value = new_value
+            if value > best:
+                best = value
+    return best / (n * n)
+
+
+def symmetric(a):
+    a = np.triu(a, 1)
+    return WeightedGraph(a + a.T)
 
 
 def brute_hom_density(f, pattern):
@@ -171,6 +208,27 @@ class TestCutnormHeuristic:
         f = random_weights(10, np.random.default_rng(5), lo=-1.0, hi=1.0)
         assert cutnorm_heuristic(f, 5, 9) == cutnorm_heuristic(f, 5, 9)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 14), st.integers(1, 25), st.integers(0, 2**64 - 1),
+           st.integers(0, 2**32 - 1))
+    @example(n=1, restarts=3, seed=0, data_seed=0)  # start row 0 is all false
+    @example(n=2, restarts=25, seed=0, data_seed=1)
+    def test_batched_matches_scalar_reference(self, n, restarts, seed, data_seed):
+        rng = np.random.default_rng(data_seed)
+        # halves and units: every sum is exact, so rounding cannot differ
+        exact = symmetric(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(n, n)))
+        assert cutnorm_heuristic(exact, restarts, seed) == reference_heuristic(exact, restarts, seed)
+        f = symmetric(rng.uniform(-1.0, 1.0, size=(n, n)))
+        got = cutnorm_heuristic(f, restarts, seed)
+        assert got == pytest.approx(reference_heuristic(f, restarts, seed), rel=1e-12)
+        assert got <= cutnorm_exact(f) + 1e-12
+
+    def test_empty_start_row_is_repaired(self):
+        # PCG64(0) draws 0.637 first, so the only start of n = 1 is all false
+        assert not np.random.Generator(np.random.PCG64(0)).random(1) < 0.5
+        f = WeightedGraph.zeros(1)
+        assert cutnorm_heuristic(f, 1, 0) == reference_heuristic(f, 1, 0) == 0.0
+
 
 class TestHomDensity:
     def test_constant_k3(self):
@@ -217,6 +275,29 @@ class TestHomDensity:
         f = random_weights(8, np.random.default_rng(0))
         with pytest.raises(TooLarge):
             hom_density(f, PatternGraph.path(6))
+
+    @pytest.mark.parametrize("pattern", [
+        K3, PatternGraph.cycle(4), PatternGraph.path(3),
+        PatternGraph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (2, 5)]),
+    ])
+    @pytest.mark.parametrize("n", [3, 10, 30])
+    def test_cached_path_is_bit_identical(self, pattern, n):
+        f = random_weights(n, np.random.default_rng(n))
+        spec = ",".join(chr(96 + u) + chr(96 + v) for u, v in sorted(pattern.edges))
+        uncached = float(np.einsum(spec + "->", *([f.w] * pattern.edge_count), optimize=True))
+        for _ in range(2):  # the second call reads the cached path
+            assert hom_density(f, pattern) == uncached / n**pattern.ell
+
+    def test_patterns_do_not_share_a_path(self):
+        # the same n and edge count, different contractions
+        c4 = PatternGraph.cycle(4)
+        paw = PatternGraph.from_edges(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
+        f = random_weights(10, np.random.default_rng(6))
+        _einsum_path.cache_clear()
+        assert hom_density(f, c4) == pytest.approx(brute_hom_density(f, c4))
+        assert hom_density(f, paw) == pytest.approx(brute_hom_density(f, paw))
+        assert _einsum_path.cache_info().currsize == 2
+        assert _einsum_path("ab,ad,bc,cd", 10, 4) != _einsum_path("ab,ac,bc,cd", 10, 4)
 
 
 class TestCountingLemma:

@@ -345,6 +345,24 @@ class TestGraphIO:
         path.write_text("4 2\n3 4\n2 1\n")
         assert read_graph(str(path)).edges == ((1, 2), (3, 4))
 
+    @pytest.mark.parametrize("order", ["shuffled", "reversed", "empty"])
+    def test_reader_builds_what_the_constructor_builds(self, tmp_path, order):
+        edges = list(gnp_generate(14, 0.5, 2).graph.edges)
+        if order == "shuffled":
+            np.random.default_rng(0).shuffle(edges)
+        elif order == "reversed":
+            edges = [(v, u) for u, v in reversed(edges)]
+        else:
+            edges = []
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in [(14, len(edges)), *edges]))
+        got, want = read_graph(str(path)), OrderedGraph(14, edges)
+        assert got == want
+        assert got._adj == want._adj
+        for name in ("_us", "_vs"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
     def test_reader_rejects_duplicate(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("4 2\n1 2\n2 1\n")

@@ -226,6 +226,16 @@ class TestSweep:
         # p clamps to 1, the graph is K6, and K6 -> (K3)_2 holds
         assert all(r.p == 1.0 and r.found for r in res.records)
 
+    def test_arrow_predicate_builds_no_colouring(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the arrow predicate read a colouring")
+        monkeypatch.setattr(harness, "generate_colouring", refuse)
+        cfg = ExperimentConfig(
+            ell=3, n_grid=(6, 8), c_grid=(0.5, 50.0), adversary=AdversarySpec("GreedyProper"),
+            trials=3, master_seed=2, predicate="mono_after_2colour",
+        )
+        assert len(run_sweep(cfg).records) == 12
+
     def test_clamped_injective_cell_always_succeeds(self):
         cfg = small_config(n_grid=(20,), c_grid=(10**6,), trials=4,
                            adversary=AdversarySpec("Injective"))
