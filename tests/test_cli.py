@@ -190,7 +190,7 @@ def test_missing_config_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("flag, text, message", [
     ("--graph", "4 2\n1 2\n2 1\n", "line 3: duplicate edge (1, 2)"),
     ("--colouring", "12 1\n1 2 x\n", "line 2: expected 'u v c', got '1 2 x'"),
-    ("--config", '{"ell": 4', "Expecting ',' delimiter: line 1 column 10 (char 9)"),
+    ("--config", '{"ell": 4', "line 1 column 10 (char 9)"),  # json's wording varies
     ("--config", '{"ell": 4, "color": 1}', "unknown sweep config keys: color"),
 ])
 def test_malformed_input_file_exits_2(flag, text, message, coloured_files, tmp_path, capsys):
@@ -206,4 +206,5 @@ def test_malformed_input_file_exits_2(flag, text, message, coloured_files, tmp_p
         argv = ["find", "--graph", files["--graph"], "--colouring", files["--colouring"],
                 "--ell", "3"]
     line = _input_error(argv, capsys)
-    assert line == f"ramseykit {command}: error: argument {flag}: {str(bad)!r}: {message}"
+    assert line.startswith(f"ramseykit {command}: error: argument {flag}: {str(bad)!r}: ")
+    assert line.endswith(message)
