@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,7 +53,8 @@ class AdversarySpec:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
         for key, value in (("r", self.r), ("lambda", self.lam)):
             if value is not None:
-                _json_int(key, value)
+                _int_field(key, value)
+        _int_field("seed", self.seed)
         if self.kind == "RandomR" and (self.r is None or self.r < 1):
             raise ValueError("RandomR needs r >= 1")
         if self.kind == "BoundedRandom":
@@ -75,22 +76,29 @@ class AdversarySpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "AdversarySpec":
-        unknown = sorted(set(data) - {"kind", "r", "lambda", "seed"})
-        if unknown:
-            raise ValueError(f"unknown adversary keys: {', '.join(unknown)}")
-        return cls(
-            kind=data["kind"],
-            r=data.get("r"),
-            lam=data.get("lambda"),
-            seed=_json_int("seed", data.get("seed", 0)),
-        )
+        _check_json_keys("adversary", data, ("kind", "r", "lambda", "seed"), ("kind",))
+        return cls(**{"lam" if key == "lambda" else key: value for key, value in data.items()})
 
 
-def _json_int(key: str, value: object) -> int:
-    """An integer field of a config: floats, strings and booleans are refused."""
+def _int_field(key: str, value: object) -> int:
+    """An integer field of a spec or config; refuses float, str, bool and None."""
     if type(value) is not int:
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _check_json_keys(what: str, data: object, known: Sequence[str],
+                     required: Sequence[str]) -> None:
+    """Refuse a JSON value that is not an object, then one with a key
+    outside ``known``, then one missing a ``required`` key, naming the keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValueError(f"missing {what} keys: {', '.join(missing)}")
 
 
 def _greedy_proper(graph: OrderedGraph) -> list[int]:

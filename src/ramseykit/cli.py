@@ -56,7 +56,7 @@ def _vertices(text: str) -> list[int]:
 def _adversary(text: str) -> AdversarySpec:
     try:
         return AdversarySpec.from_json(json.loads(text))
-    except (ValueError, TypeError, KeyError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"expected a spec such as '{{\"kind\": \"MinOrder\"}}', got {text!r} ({exc})") from None
 

@@ -11,8 +11,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .graphs import (Edge, OrderedGraph, _read_records, _write_lines, bits, normalise_edge,
-                     vertex_mask)
+from .graphs import (Edge, OrderedGraph, _extend_cliques, _read_records, _write_lines, bits,
+                     normalise_edge, vertex_mask)
 
 __all__ = [
     "EdgeColouring",
@@ -82,6 +82,8 @@ class EdgeColouring:
         norm: dict[Edge, int] = {}
         for (u, v), c in mapping.items():
             edge = normalise_edge(u, v)
+            if edge in norm:
+                raise ValueError(f"duplicate edge {edge}")
             if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not 0 <= c < _COLOUR_LIMIT:
                 raise ValueError(f"colour {c!r} on edge {edge} is not an integer in [0, 2^63)")
             norm[edge] = int(c)
@@ -329,20 +331,10 @@ def bounded_side_split(phi: EdgeColouring, us: Iterable[int], delta: float,
 def _partite_cliques(host: OrderedGraph,
                      classes: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
     """Stream tuples (u_1,...,u_ell), u_i in class i, inducing a clique."""
-    ell = len(classes)
-
-    def grow(chosen: list[int]) -> Iterator[tuple[int, ...]]:
-        i = len(chosen)
-        if i == ell:
-            yield tuple(chosen)
-            return
-        for v in classes[i]:
-            if all(host.has_edge(u, v) for u in chosen):
-                chosen.append(v)
-                yield from grow(chosen)
-                chosen.pop()
-
-    return grow([])
+    class_of = {v: i for i, cl in enumerate(classes) for v in cl}
+    cliques = _extend_cliques(host._adj, vertex_mask(host, class_of), len(classes),
+                              lambda prefix, v: all(class_of[u] != class_of[v] for u in prefix))
+    return (tuple(sorted(clique, key=class_of.__getitem__)) for clique in cliques)
 
 
 def _check_classes(host: OrderedGraph, classes: Sequence[Iterable[int]],

@@ -64,31 +64,36 @@ class WeightedGraph:
 
     __slots__ = ("n", "w")
 
-    def __init__(self, matrix, *, validate: bool = True) -> None:
+    def __init__(self, matrix) -> None:
         w = np.asarray(matrix, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weight matrix must be square")
         if w.shape[0] < 1:
             raise ValueError("vertex count must be >= 1")
-        if validate:
-            if not np.all(np.isfinite(w)):
-                raise ValueError("weights must be finite")
-            if not np.array_equal(w, w.T):
-                raise ValueError("weights must be symmetric")
-            if np.any(np.diagonal(w) != 0.0):
-                raise ValueError("diagonal must be zero")
-        self.n = int(w.shape[0])
-        self.w = w
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
+        if not np.array_equal(w, w.T):
+            raise ValueError("weights must be symmetric")
+        if np.any(np.diagonal(w) != 0.0):
+            raise ValueError("diagonal must be zero")
+        self.n, self.w = int(w.shape[0]), w
+
+    @classmethod
+    def _trusted(cls, w: np.ndarray) -> "WeightedGraph":
+        """Wrap a symmetric zero-diagonal float matrix the library computed, unchecked."""
+        f = cls.__new__(cls)
+        f.n, f.w = int(w.shape[0]), w
+        return f
 
     @classmethod
     def zeros(cls, n: int) -> "WeightedGraph":
-        return cls(np.zeros((n, n)), validate=False)
+        return cls(np.zeros((n, n)))
 
     @classmethod
     def constant(cls, n: int, value: float) -> "WeightedGraph":
         w = np.full((n, n), float(value))
         np.fill_diagonal(w, 0.0)
-        return cls(w, validate=False)
+        return cls(w)
 
     @classmethod
     def indicator(cls, graph: OrderedGraph, scale: float = 1.0) -> "WeightedGraph":
@@ -96,7 +101,7 @@ class WeightedGraph:
         w = np.zeros((graph.n, graph.n))
         w[graph._us - 1, graph._vs - 1] = scale
         w[graph._vs - 1, graph._us - 1] = scale
-        return cls(w, validate=False)
+        return cls._trusted(w)
 
     def entry(self, u: int, v: int) -> float:
         if u == v:
@@ -111,14 +116,14 @@ class WeightedGraph:
 
     def __sub__(self, other: "WeightedGraph") -> "WeightedGraph":
         self._check_compatible(other)
-        return WeightedGraph(self.w - other.w, validate=False)
+        return WeightedGraph._trusted(self.w - other.w)
 
     def __add__(self, other: "WeightedGraph") -> "WeightedGraph":
         self._check_compatible(other)
-        return WeightedGraph(self.w + other.w, validate=False)
+        return WeightedGraph._trusted(self.w + other.w)
 
     def __mul__(self, scalar: float) -> "WeightedGraph":
-        return WeightedGraph(self.w * float(scalar), validate=False)
+        return WeightedGraph._trusted(self.w * float(scalar))
 
     __rmul__ = __mul__
 
@@ -404,5 +409,7 @@ def read_weighted(path: str) -> WeightedGraph:
     for (idx, (a, b, x)), (u, v) in zip(records, pairs):
         if (a, b) != (u, v):
             raise ValueError(f"line {idx}: expected pair ({u},{v})")
+        if not np.isfinite(x):
+            raise ValueError(f"line {idx}: weight {x!r} is not finite")
         w[u - 1, v - 1] = w[v - 1, u - 1] = x
-    return WeightedGraph(w)
+    return WeightedGraph._trusted(w)

@@ -43,6 +43,8 @@ __all__ = [
     "er_find",
 ]
 
+_SAMPLING_ROUNDS = 50  # vertex samples rainbow_by_sampling draws before it gives up
+
 
 class NotComplete(Exception):
     """The procedure requires the host graph to be complete."""
@@ -194,7 +196,7 @@ def extract_canonical(seq: NeighbourhoodSequence, ell: int) -> CanonicalWitness:
     steps the witness is monochromatic; otherwise ell-1 pairwise distinct
     colours exist and the witness is strictly min- or max-coloured.
     """
-    needed_steps = 2 * (ell - 2) ** 2 + 2
+    needed_steps = ErConstants.for_clique(ell).length
     take = (ell - 2) ** 2 + 1
     if len(seq.steps) < needed_steps:
         raise SequenceTooShort(f"have {len(seq.steps)} steps, need {needed_steps}")
@@ -253,7 +255,7 @@ def _first_colour_collision(phi: EdgeColouring,
 
 
 def rainbow_by_sampling(phi: EdgeColouring, us, ell: int, delta: float,
-                        seed: int, rounds: int = 50) -> Optional[CanonicalWitness]:
+                        seed: int) -> Optional[CanonicalWitness]:
     """Rainbow K_ell by sparse vertex sampling and conflict deletion.
 
     Requires the colouring restricted to U to be delta-bounded (every colour
@@ -263,7 +265,7 @@ def rainbow_by_sampling(phi: EdgeColouring, us, ell: int, delta: float,
     edges in the kept set and deletes the largest vertex it spans.  When at
     least ell vertices survive, every remaining edge colour is distinct, and
     the smallest ell survivors are returned as a verified rainbow witness.
-    Returns None after ``rounds`` unsuccessful rounds.
+    Returns None after _SAMPLING_ROUNDS unsuccessful rounds.
     """
     _require_complete(phi)
     u_sorted = tuple(sorted(set(us)))
@@ -277,7 +279,7 @@ def rainbow_by_sampling(phi: EdgeColouring, us, ell: int, delta: float,
             raise NotBounded(f"colour degree {degree} at vertex {v} exceeds delta|U| = {cap}")
     keep_p = min(1.0, 2.0 * ell / len(u_sorted))
     rng = np.random.Generator(np.random.PCG64(seed))
-    for _ in range(rounds):
+    for _ in range(_SAMPLING_ROUNDS):
         draws = rng.random(len(u_sorted))
         sample = [v for v, x in zip(u_sorted, draws) if x < keep_p]
         while True:
@@ -293,8 +295,7 @@ def rainbow_by_sampling(phi: EdgeColouring, us, ell: int, delta: float,
     return None
 
 
-def er_find(phi: EdgeColouring, ell: int, seed: int = 0,
-            rounds: int = 50) -> ErResult:
+def er_find(phi: EdgeColouring, ell: int, seed: int = 0) -> ErResult:
     """Run the full procedure and report which branch produced the witness.
 
     Below the (astronomical) size where the quantitative bounds hold, both
@@ -311,9 +312,7 @@ def er_find(phi: EdgeColouring, ell: int, seed: int = 0,
         witness = extract_canonical(outcome, ell)
         return ErResult(witness, "sequence", outcome)
     if len(outcome.surviving) >= ell:
-        witness = rainbow_by_sampling(
-            phi, outcome.surviving, ell, outcome.delta, seed, rounds
-        )
+        witness = rainbow_by_sampling(phi, outcome.surviving, ell, outcome.delta, seed)
         if witness is not None:
             return ErResult(witness, "sampling", None)
     fallback: SearchOutcome = find_canonical_copy(phi, ell)

@@ -30,14 +30,30 @@ __all__ = [
 ]
 
 
-def _rows(n: int, edges: Sequence[Edge]) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Bitset rows and endpoint arrays of valid, lexicographically sorted edges."""
+def _checked_graph(n: int, records: Iterable[tuple[str, int, int]]
+                   ) -> tuple[list[int], tuple[Edge, ...], np.ndarray, np.ndarray]:
+    """Bitset rows, sorted edges and endpoint arrays of the edges given as
+    (where, u, v) records, refusing a loop, an endpoint outside {1,...,n}
+    and a repeated edge with a message that starts with the record's
+    ``where``."""
+    seen: set[Edge] = set()
+    for where, u, v in records:
+        u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"{where}loop at vertex {u}")
+        edge = (u, v) if u < v else (v, u)
+        if not (1 <= edge[0] and edge[1] <= n):
+            raise ValueError(f"{where}edge {edge} outside {{1,...,{n}}}")
+        if edge in seen:
+            raise ValueError(f"{where}duplicate edge {edge}")
+        seen.add(edge)
+    edges = tuple(sorted(seen))
     adj = [0] * (n + 1)
     for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     us, vs = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-    return adj, us, vs
+    return adj, edges, us, vs
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -71,17 +87,9 @@ class OrderedGraph:
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 1:
             raise ValueError("vertex count must be >= 1")
-        seen: set[Edge] = set()
-        for u, v in edges:
-            u, v = normalise_edge(u, v)
-            if not (1 <= u and v <= n):
-                raise ValueError(f"edge ({u},{v}) outside {{1,...,{n}}}")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
         self.n = n
-        self._edges = tuple(sorted(seen))
-        self._adj, self._us, self._vs = _rows(n, self._edges)
+        self._adj, self._edges, self._us, self._vs = _checked_graph(
+            n, (("", u, v) for u, v in edges))
 
     @classmethod
     def _trusted(cls, n: int, adj: list[int], edges: tuple[Edge, ...],
@@ -421,16 +429,5 @@ def read_graph(path: str) -> OrderedGraph:
         raise ValueError(f"line {top}: vertex count must be >= 1")
     if len(records) != m:
         raise ValueError(f"header announces {m} edges, file has {len(records)}")
-    seen: set[Edge] = set()
-    for idx, (u, v) in records:
-        if u == v:
-            raise ValueError(f"line {idx}: loop at vertex {u}")
-        edge = normalise_edge(u, v)
-        if not (1 <= edge[0] and edge[1] <= n):
-            raise ValueError(f"line {idx}: edge {edge} outside {{1,...,{n}}}")
-        if edge in seen:
-            raise ValueError(f"line {idx}: duplicate edge {edge}")
-        seen.add(edge)
-    edges = tuple(sorted(seen))
-    adj, us, vs = _rows(n, edges)
-    return OrderedGraph._trusted(n, adj, edges, us, vs)
+    return OrderedGraph._trusted(
+        n, *_checked_graph(n, ((f"line {idx}: ", u, v) for idx, (u, v) in records)))

@@ -8,12 +8,12 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import reduce
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .adversaries import AdversarySpec, _json_int, generate_colouring
+from .adversaries import AdversarySpec, _check_json_keys, _int_field, generate_colouring
 from .colouring import PatternTag
 from .graphs import _write_lines, clean_subgraph, enumerate_cliques, gnp_generate
 from .search import (
@@ -101,10 +101,19 @@ class ExperimentConfig:
     budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_grid", tuple(self.n_grid))
-        if any(isinstance(c, (str, bool)) for c in self.c_grid):
+        for key in ("n_grid", "c_grid"):
+            if not isinstance(getattr(self, key), (list, tuple)):
+                raise ValueError(f"{key} must be a list, got {getattr(self, key)!r}")
+        object.__setattr__(self, "n_grid", tuple(_int_field("n_grid", n) for n in self.n_grid))
+        if any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in self.c_grid):
             raise ValueError(f"c_grid must list numbers, got {list(self.c_grid)!r}")
         object.__setattr__(self, "c_grid", tuple(float(c) for c in self.c_grid))
+        for key in ("ell", "trials", "master_seed", "budget"):
+            _int_field(key, getattr(self, key))
+        if not isinstance(self.clean_mode, bool):
+            raise ValueError(f"clean_mode must be true or false, got {self.clean_mode!r}")
+        if not isinstance(self.adversary, AdversarySpec):
+            raise ValueError(f"adversary must be an AdversarySpec, got {self.adversary!r}")
         if self.ell < 3:
             raise ValueError("ell must be >= 3")
         if self.trials < 1:
@@ -150,24 +159,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown sweep config keys: {', '.join(unknown)}")
-        clean_mode = data.get("clean_mode", False)
-        if not isinstance(clean_mode, bool):
-            raise ValueError(f"clean_mode must be true or false, got {clean_mode!r}")
-        return cls(
-            ell=_json_int("ell", data["ell"]),
-            n_grid=tuple(_json_int("n_grid", n) for n in data["n_grid"]),
-            c_grid=data["c_grid"],
-            adversary=AdversarySpec.from_json(data["adversary"]),
-            trials=_json_int("trials", data["trials"]),
-            master_seed=_json_int("master_seed", data["master_seed"]),
-            exponent_mode=data.get("exponent_mode", "canonical"),
-            clean_mode=clean_mode,
-            predicate=data.get("predicate", "rainbow"),
-            budget=_json_int("budget", data.get("budget", DEFAULT_NODE_BUDGET)),
-        )
+        _check_json_keys("sweep config", data, [f.name for f in fields(cls)],
+                         [f.name for f in fields(cls) if f.default is MISSING])
+        return cls(**{**data, "adversary": AdversarySpec.from_json(data["adversary"])})
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,20 @@ class TestSpecs:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             AdversarySpec("Chaotic")
+        with pytest.raises(ValueError, match="unknown adversary kind 'Chaotic'"):
+            AdversarySpec.from_json({"kind": "Chaotic"})
 
     def test_randomr_needs_r(self):
         with pytest.raises(ValueError):
             AdversarySpec("RandomR")
+        with pytest.raises(ValueError, match="RandomR needs r >= 1"):
+            AdversarySpec.from_json({"kind": "RandomR"})
 
     def test_bounded_needs_lambda(self):
         with pytest.raises(ValueError):
             AdversarySpec("BoundedRandom")
+        with pytest.raises(ValueError, match="BoundedRandom needs lambda >= 1"):
+            AdversarySpec.from_json({"kind": "BoundedRandom"})
 
     def test_json_round_trip(self):
         spec = AdversarySpec("BoundedRandom", r=7, lam=2, seed=11)
@@ -42,11 +48,14 @@ class TestSpecs:
         {"kind": "BoundedRandom", "lambda": True},
         {"kind": "Injective", "seed": 3.0},
         {"kind": "Injective", "seed": "7"},
+        {"kind": "Injective", "seed": None},  # an absent seed is 0, a null one is refused
     ])
     def test_from_json_refuses_non_integer_numbers(self, data):
         key = next(k for k in data if k != "kind")
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             AdversarySpec.from_json(data)
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            AdversarySpec(**{"lam" if k == "lambda" else k: v for k, v in data.items()})
 
     @pytest.mark.parametrize("key, kwargs", [
         ("r", {"kind": "RandomR", "r": 2.5}),
@@ -59,6 +68,17 @@ class TestSpecs:
         # r=2.5 would make RandomR draw from {0, 1}
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             AdversarySpec(**kwargs)
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            AdversarySpec.from_json({"lambda" if k == "lam" else k: v for k, v in kwargs.items()})
+
+    def test_from_json_names_missing_kind(self):
+        with pytest.raises(ValueError, match="^missing adversary keys: kind$"):
+            AdversarySpec.from_json({"r": 3, "seed": 1})
+
+    @pytest.mark.parametrize("data", [["MinOrder"], "MinOrder", None])
+    def test_from_json_refuses_non_object(self, data):
+        with pytest.raises(ValueError, match="adversary must be a JSON object"):
+            AdversarySpec.from_json(data)
 
     def test_from_json_keeps_absent_and_null_numbers(self):
         spec = AdversarySpec.from_json({"kind": "BoundedRandom", "r": None, "lambda": 2})

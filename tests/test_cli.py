@@ -192,6 +192,9 @@ def test_missing_config_exits_2(tmp_path, capsys):
     ("--colouring", "12 1\n1 2 x\n", "line 2: expected 'u v c', got '1 2 x'"),
     ("--config", '{"ell": 4', "line 1 column 10 (char 9)"),  # json's wording varies
     ("--config", '{"ell": 4, "color": 1}', "unknown sweep config keys: color"),
+    ("--config", '{"n_grid": [12], "c_grid": [1.0], "adversary": {"kind": "GreedyProper"}, '
+                 '"trials": 2, "master_seed": 1}', "missing sweep config keys: ell"),
+    ("--config", '[4, [12]]', "sweep config must be a JSON object, got list"),
 ])
 def test_malformed_input_file_exits_2(flag, text, message, coloured_files, tmp_path, capsys):
     gpath, cpath = coloured_files

@@ -420,6 +420,12 @@ class TestColouringObject:
         with pytest.raises(ValueError):
             EdgeColouring(host, {(1, 2): 0, (1, 3): 0})
 
+    def test_refuses_both_orientations_of_an_edge(self):
+        # (1,2) and (2,1) name one edge; keeping the later colour would hide the clash
+        host = OrderedGraph.complete(3)
+        with pytest.raises(ValueError, match=r"duplicate edge \(1, 2\)"):
+            EdgeColouring(host, {(1, 2): 0, (2, 1): 5, (1, 3): 1, (2, 3): 2})
+
     def test_relabel_dense(self):
         host = OrderedGraph.complete(3)
         phi = EdgeColouring(host, {(1, 2): 17, (1, 3): 90, (2, 3): 17})

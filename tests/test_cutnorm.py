@@ -468,6 +468,18 @@ class TestWeightedGraphObject:
         with pytest.raises(ValueError, match="line 3"):
             read_weighted(str(path))
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_io_names_line_of_non_finite_weight(self, tmp_path, token):
+        path = tmp_path / "w.txt"
+        path.write_text(f"3\n1 2 0.5\n\n1 3 {token}\n2 3 0.25\n")
+        with pytest.raises(ValueError, match=f"^line 4: weight {float(token)!r} is not finite$"):
+            read_weighted(str(path))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_constant_refuses_non_finite_value(self, value):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            WeightedGraph.constant(4, value)
+
     def test_io_rejects_wrong_pair_order(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("3\n1 2 0.5\n2 3 0.25\n1 3 0.75\n")

@@ -390,7 +390,7 @@ class TestGraphIO:
     def test_reader_rejects_out_of_range(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("4 1\n1 5\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^line 2: edge \(1, 5\) outside \{1,...,4\}$"):
             read_graph(str(path))
 
     def test_reader_rejects_header_mismatch(self, tmp_path):
@@ -408,17 +408,19 @@ class TestGraphIO:
 
 
 class TestOrderedGraph:
+    # the constructor and read_graph share one edge check: the same
+    # messages, the reader's with a "line k: " prefix
     def test_rejects_loop(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^loop at vertex 1$"):
             OrderedGraph(3, [(1, 1)])
 
     def test_rejects_duplicate(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
             OrderedGraph(3, [(1, 2), (2, 1)])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            OrderedGraph(3, [(1, 4)])
+        with pytest.raises(ValueError, match=r"^edge \(1, 4\) outside \{1,...,3\}$"):
+            OrderedGraph(3, [(4, 1)])
 
     def test_adjacency_masks(self):
         g = OrderedGraph(4, [(1, 2), (2, 4)])

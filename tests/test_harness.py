@@ -38,6 +38,14 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def assert_refused(data, match):
+    """``from_json`` and the constructor both refuse the config ``data``."""
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig.from_json(data)
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(**{**data, "adversary": AdversarySpec.from_json(data["adversary"])})
+
+
 class TestWilson:
     def test_zero_successes(self):
         lo, hi = wilson_interval(0, 100)
@@ -96,24 +104,24 @@ class TestConfig:
         assert sum("clamped" in rec.message for rec in caplog.records) == 1
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            small_config(trials=0)
-        with pytest.raises(ValueError):
-            small_config(c_grid=(-1.0,))
-        with pytest.raises(ValueError):
-            small_config(predicate="weird")
+        for key, value, match in (("trials", 0, "trials must be >= 1"),
+                                  ("c_grid", [-1.0], "c_grid must list positive reals"),
+                                  ("predicate", "weird", "predicate must be one of")):
+            assert_refused({**small_config().to_json(), key: value}, match)
 
     def test_from_json_rejects_unknown_keys(self):
         # a misspelt key would otherwise run a non-clean rainbow sweep silently
         data = {**small_config().to_json(), "predicte": "canonical", "clean": True}
         with pytest.raises(ValueError, match="unknown sweep config keys: clean, predicte"):
             ExperimentConfig.from_json(data)
+        # unknown keys are named before missing ones
+        with pytest.raises(ValueError, match="^unknown sweep config keys: color$"):
+            ExperimentConfig.from_json({"ell": 4, "color": 1})
 
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     def test_from_json_requires_boolean_clean_mode(self, value):
         data = {**small_config().to_json(), "clean_mode": value}
-        with pytest.raises(ValueError, match="clean_mode must be true or false"):
-            ExperimentConfig.from_json(data)
+        assert_refused(data, "clean_mode must be true or false")
 
     @pytest.mark.parametrize("value", [4.7, 4.0, "4", True])
     @pytest.mark.parametrize("key", ["ell", "n_grid", "trials", "master_seed", "budget"])
@@ -121,8 +129,7 @@ class TestConfig:
         # int() would run "ell": 4.7 as 4 and "trials": "3" as 3
         data = small_config().to_json()
         data[key] = [value] if key == "n_grid" else value
-        with pytest.raises(ValueError, match=f"{key} must be an integer"):
-            ExperimentConfig.from_json(data)
+        assert_refused(data, f"{key} must be an integer")
 
     @pytest.mark.parametrize("value", [2.5, "2", False])
     @pytest.mark.parametrize("key", ["r", "lambda", "seed"])
@@ -131,13 +138,16 @@ class TestConfig:
         data["adversary"] = {"kind": "BoundedRandom", "r": 5, "lambda": 2, key: value}
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             ExperimentConfig.from_json(data)
+        attribute = "lam" if key == "lambda" else key
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            small_config(adversary=AdversarySpec(**{"kind": "BoundedRandom", "r": 5, "lam": 2,
+                                                    attribute: value}))
 
     @pytest.mark.parametrize("value", ["1.5", True])
     def test_from_json_refuses_non_numeric_c(self, value):
         # float() would run "c_grid": ["1.5", true] as (1.5, 1.0)
         data = {**small_config().to_json(), "c_grid": [0.5, value]}
-        with pytest.raises(ValueError, match="c_grid must list numbers"):
-            ExperimentConfig.from_json(data)
+        assert_refused(data, "c_grid must list numbers")
 
     def test_from_json_accepts_integer_c(self):
         data = {**small_config().to_json(), "c_grid": [1, 2.5]}
@@ -146,8 +156,36 @@ class TestConfig:
     @pytest.mark.parametrize("grid", [{"n_grid": (30, 30)}, {"c_grid": (1.0, 1)}])
     def test_rejects_duplicate_grid_values(self, grid):
         # a repeated value would merge two cells and count seed-identical trials twice
-        with pytest.raises(ValueError, match="distinct"):
-            small_config(**grid)
+        assert_refused({**small_config().to_json(), **grid}, "distinct")
+
+    @pytest.mark.parametrize("value", [30, "30", None, {"30": 1}])
+    @pytest.mark.parametrize("key", ["n_grid", "c_grid"])
+    def test_refuses_grid_that_is_not_a_list(self, key, value):
+        assert_refused({**small_config().to_json(), key: value}, f"{key} must be a list")
+
+    def test_constructor_refuses_adversary_that_is_not_a_spec(self):
+        with pytest.raises(ValueError, match="adversary must be an AdversarySpec"):
+            small_config(adversary={"kind": "GreedyProper"})
+
+    @pytest.mark.parametrize("absent, names", [
+        (("ell",), "ell"),
+        (("trials", "n_grid"), "n_grid, trials"),
+        (("adversary",), "adversary"),
+    ])
+    def test_from_json_names_missing_keys(self, absent, names):
+        data = {k: v for k, v in small_config().to_json().items() if k not in absent}
+        with pytest.raises(ValueError, match=f"^missing sweep config keys: {names}$"):
+            ExperimentConfig.from_json(data)
+
+    @pytest.mark.parametrize("data", [[4, 30], "config", 4, None])
+    def test_from_json_refuses_non_object(self, data):
+        with pytest.raises(ValueError, match="sweep config must be a JSON object"):
+            ExperimentConfig.from_json(data)
+
+    def test_from_json_refuses_adversary_without_kind(self):
+        data = {**small_config().to_json(), "adversary": {"seed": 3}}
+        with pytest.raises(ValueError, match="missing adversary keys: kind"):
+            ExperimentConfig.from_json(data)
 
 
 class TestSweep:

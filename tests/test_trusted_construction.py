@@ -16,8 +16,10 @@ from ramseykit import (
     clean_subgraph,
     generate_colouring,
     gnp_generate,
+    read_weighted,
     sample_graph_from_weights,
     verify_properness,
+    write_weighted,
 )
 from ramseykit.adversaries import KINDS
 
@@ -131,3 +133,16 @@ def test_exhaustive_counterexample_matches_validated_colouring():
     assert not outcome.holds
     phi = outcome.counterexample
     assert phi == EdgeColouring(graph, dict(phi.items()))
+
+
+def test_weighted_arithmetic_matches_validated_weights(tmp_path):
+    rng = np.random.default_rng(3)
+    upper = np.triu(rng.uniform(-1.0, 1.0, size=(9, 9)), 1)
+    f = WeightedGraph(upper + upper.T)
+    g = WeightedGraph.indicator(gnp_generate(9, 0.5, 2).graph, scale=0.5)
+    path = tmp_path / "w.txt"
+    write_weighted(f, str(path))
+    for got in (g, f - g, f + g, f * 3.0, -2 * g, read_weighted(str(path))):
+        rebuilt = WeightedGraph(got.w)
+        assert got.n == rebuilt.n == 9
+        assert got.w.dtype == np.float64 and np.array_equal(got.w, rebuilt.w)
