@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -54,7 +54,8 @@ class AdversarySpec:
         for key, value in (("r", self.r), ("lambda", self.lam)):
             if value is not None:
                 _int_field(key, value)
-        _int_field("seed", self.seed)
+        if _int_field("seed", self.seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.kind == "RandomR" and (self.r is None or self.r < 1):
             raise ValueError("RandomR needs r >= 1")
         if self.kind == "BoundedRandom":
@@ -101,16 +102,23 @@ def _check_json_keys(what: str, data: object, known: Sequence[str],
         raise ValueError(f"missing {what} keys: {', '.join(missing)}")
 
 
-def _greedy_proper(graph: OrderedGraph) -> list[int]:
+def _greedy_proper(graph: OrderedGraph) -> Callable[[int, int], list[int]]:
+    """The greedy colouring as a colour source: ``source(start, end)`` colours
+    ``graph.edges[start:end]``, called on consecutive slices from 0."""
     used = [0] * (graph.n + 1)  # bitmask of the colours at each vertex
-    colours = []
-    for u, v in graph.edges:
-        taken = used[u] | used[v]
-        least = ~taken & (taken + 1)  # lowest colour absent at both ends
-        colours.append(least.bit_length() - 1)
-        used[u] |= least
-        used[v] |= least
-    return colours
+    edges = graph.edges
+
+    def source(start: int, end: int) -> list[int]:
+        colours = []
+        for u, v in edges[start:end]:
+            taken = used[u] | used[v]
+            least = ~taken & (taken + 1)  # lowest colour absent at both ends
+            colours.append(least.bit_length() - 1)
+            used[u] |= least
+            used[v] |= least
+        return colours
+
+    return source
 
 
 def _bounded_random(graph: OrderedGraph, spec: AdversarySpec) -> list[int]:
@@ -148,7 +156,7 @@ def generate_colouring(graph: OrderedGraph, spec: AdversarySpec) -> EdgeColourin
         colours = graph._us
     elif spec.kind == "MaxOrder":
         colours = graph._vs
-    elif spec.kind == "GreedyProper":
+    elif spec.kind == "GreedyProper":  # coloured as far as rows are read
         colours = _greedy_proper(graph)
     elif spec.kind == "BoundedRandom":
         colours = _bounded_random(graph, spec)
@@ -165,5 +173,6 @@ def verify_properness(phi: EdgeColouring) -> bool:
 def max_colour_multiplicity(phi: EdgeColouring) -> int:
     """max over vertices v and colours c of the colour degree d_c(v, V)."""
     host = phi.host
+    phi._rows.drain()  # colour a lazy source in one pass, not one slice per row
     return max((_max_colour_degree(phi, v, host.vertex_bitmask) for v in host.vertices),
                default=0)

@@ -73,10 +73,12 @@ class EdgeColouring:
     ``relabel_dense`` produces an equivalent colouring with ids 0..k-1.
     Stored as a symmetric (n+1) x (n+1) int64 matrix, -1 off the edges, for
     numpy work, and as its rows of Python ints, each made on first use, for
-    scalar lookups.
+    scalar lookups.  A colouring made from a colour source (GreedyProper) is
+    coloured on demand: reading row v colours the edges whose first endpoint
+    is at most v, and reading the matrix colours the rest.
     """
 
-    __slots__ = ("host", "_matrix", "_rows")
+    __slots__ = ("host", "_rows")
 
     def __init__(self, host: OrderedGraph, mapping: Mapping[Edge, int]) -> None:
         norm: dict[Edge, int] = {}
@@ -91,23 +93,30 @@ class EdgeColouring:
         if missing or extra:
             raise ValueError(f"colouring domain mismatch: missing {sorted(missing)[:3]}, "
                              f"extraneous {sorted(extra)[:3]}")
-        self._fill(host, [norm[edge] for edge in host.edges])
+        self.host = host
+        self._rows = _Rows(host, [norm[edge] for edge in host.edges])
 
     @classmethod
-    def _trusted(cls, host: OrderedGraph, colours: Sequence[int] | np.ndarray) -> "EdgeColouring":
-        """Colour ``host.edges[i]`` with ``colours[i]``, as the library computed it, unchecked."""
+    def _trusted(cls, host: OrderedGraph,
+                 colours: Sequence[int] | np.ndarray | _Source) -> "EdgeColouring":
+        """Colour ``host.edges[i]`` with ``colours[i]``, as the library computed it, unchecked.
+
+        ``colours`` may also be a colour source: ``colours(start, end)`` gives
+        the colours of ``host.edges[start:end]``, asked for consecutive slices
+        only as far as the rows read need.
+        """
         phi = cls.__new__(cls)
-        phi._fill(host, colours)
+        phi.host = host
+        phi._rows = _SourceRows(host, colours) if callable(colours) else _Rows(host, colours)
         return phi
 
-    def _fill(self, host: OrderedGraph, colours: Sequence[int] | np.ndarray) -> None:
-        matrix = np.full((host.n + 1, host.n + 1), -1, dtype=np.int64)
-        colours = np.asarray(colours, dtype=np.int64)
-        matrix[host._us, host._vs] = colours
-        matrix[host._vs, host._us] = colours
-        self.host = host
-        self._matrix = matrix
-        self._rows = _Rows(matrix)
+    @property
+    def _matrix(self) -> np.ndarray:
+        """The colour matrix, after colouring every edge a source has not yet coloured."""
+        return self._rows.drain()
+
+    def __reduce__(self):
+        return EdgeColouring._trusted, (self.host, self._matrix[self.host._us, self.host._vs])
 
     def colour(self, u: int, v: int) -> int:
         """The colour of edge uv; KeyError if uv is not an edge, ValueError if u == v."""
@@ -146,15 +155,61 @@ class EdgeColouring:
         return f"EdgeColouring(n={self.host.n}, m={self.host.edge_count}, colours={len(self.colours())})"
 
 
+_Source = Callable[[int, int], Sequence[int]]
+
+
 class _Rows(dict):
     """``rows[v]``: row v of a colour matrix as Python ints, made on first use."""
 
-    def __init__(self, matrix: np.ndarray) -> None:
-        self.matrix = matrix
+    def __init__(self, host: OrderedGraph, colours: Sequence[int] | np.ndarray) -> None:
+        self.matrix = np.full((host.n + 1, host.n + 1), -1, dtype=np.int64)
+        self._scatter(host._us, host._vs, colours)
+
+    def _scatter(self, us: np.ndarray, vs: np.ndarray, colours: Sequence[int] | np.ndarray) -> None:
+        colours = np.asarray(colours, dtype=np.int64)
+        self.matrix[us, vs] = colours
+        self.matrix[vs, us] = colours
+
+    def drain(self) -> np.ndarray:
+        """The matrix with every edge coloured."""
+        return self.matrix
 
     def __missing__(self, v: int) -> list[int]:
         row = self[v] = self.matrix[v].tolist()
         return row
+
+
+class _SourceRows(_Rows):
+    """The rows of a colouring given by a colour source, coloured as read.
+
+    Edges come in lexicographic order, so row v holds only edges of the
+    prefix whose first endpoint is at most v; a source whose colour for an
+    edge depends only on earlier edges (greedy) is final on that prefix.
+    """
+
+    def __init__(self, host: OrderedGraph, source: _Source) -> None:
+        self.matrix = np.full((host.n + 1, host.n + 1), -1, dtype=np.int64)
+        self.host = host
+        self.source: Optional[_Source] = source
+        self.filled = 0  # host.edges[:filled] are coloured
+
+    def _advance(self, end: int) -> None:
+        start, host = self.filled, self.host
+        if end > start:
+            self._scatter(host._us[start:end], host._vs[start:end], self.source(start, end))
+            self.filled = end
+
+    def drain(self) -> np.ndarray:
+        """The matrix with every edge coloured; the source is dropped."""
+        if self.source is not None:
+            self._advance(self.host.edge_count)
+            self.source = None
+        return self.matrix
+
+    def __missing__(self, v: int) -> list[int]:
+        if self.source is not None:
+            self._advance(int(np.searchsorted(self.host._us, v, "right")))
+        return super().__missing__(v)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ edge-sampling / counting / degree lemmata, 2-density, and strict balance."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -59,6 +60,13 @@ class HypothesisViolated(Exception):
     """A lemma hypothesis (set size or cut-norm bound) fails."""
 
 
+def _finite(key: str, value: float) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return x
+
+
 class WeightedGraph:
     """Symmetric real weights on vertex pairs of {1,...,n}, zero diagonal."""
 
@@ -98,6 +106,7 @@ class WeightedGraph:
     @classmethod
     def indicator(cls, graph: OrderedGraph, scale: float = 1.0) -> "WeightedGraph":
         """The (optionally scaled) 0/1 edge indicator of an ordered graph."""
+        scale = _finite("scale", scale)
         w = np.zeros((graph.n, graph.n))
         w[graph._us - 1, graph._vs - 1] = scale
         w[graph._vs - 1, graph._us - 1] = scale
@@ -123,7 +132,7 @@ class WeightedGraph:
         return WeightedGraph._trusted(self.w + other.w)
 
     def __mul__(self, scalar: float) -> "WeightedGraph":
-        return WeightedGraph._trusted(self.w * float(scalar))
+        return WeightedGraph._trusted(self.w * _finite("scalar", scalar))
 
     __rmul__ = __mul__
 

@@ -118,6 +118,8 @@ class ExperimentConfig:
             raise ValueError("ell must be >= 3")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.budget < 1:
+            raise ValueError("budget must be >= 1")
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ValueError("n_grid must list positive vertex counts")
         if not self.c_grid or any(c <= 0 for c in self.c_grid):

@@ -118,17 +118,20 @@ def find_rainbow_copy(phi: EdgeColouring, ell: int,
         raise ValueError("ell must be >= 3")
     rows = phi._rows
     nodes = 0
-    # used[d]: the colours on the edges among the first d prefix vertices
+    # used[d], d >= 3: the colours on the edges among the first d prefix vertices
     used: list[frozenset[int]] = [frozenset()] * (ell + 1)
 
     def admit(prefix: list[int], v: int) -> bool:
         nonlocal nodes
         nodes += 1
-        seen = used[len(prefix)]
+        depth = len(prefix)
+        if depth < 2:  # fewer than two edges: no colour can repeat, so read no row
+            return True
+        seen = used[depth] if depth > 2 else frozenset((rows[prefix[0]][prefix[1]],))
         grown = seen.union([rows[u][v] for u in prefix])
-        if len(grown) != len(seen) + len(prefix):
+        if len(grown) != len(seen) + depth:
             return False
-        used[len(prefix) + 1] = grown
+        used[depth + 1] = grown
         return True
 
     mask = vertex_mask(phi.host, within)

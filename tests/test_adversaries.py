@@ -71,6 +71,18 @@ class TestSpecs:
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             AdversarySpec.from_json({"lambda" if k == "lam" else k: v for k, v in kwargs.items()})
 
+    @pytest.mark.parametrize("kind, kwargs", [("RandomR", {"r": 2}), ("Injective", {}),
+                                              ("BoundedRandom", {"lam": 1})])
+    def test_refuses_negative_seed(self, kind, kwargs):
+        # numpy's PCG64 would fail later with a message naming no key
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            AdversarySpec(kind, seed=-1, **kwargs)
+        data = {"kind": kind, "seed": -1,
+                **{"lambda" if k == "lam" else k: v for k, v in kwargs.items()}}
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            AdversarySpec.from_json(data)
+        assert AdversarySpec(kind, seed=0, **kwargs).seed == 0
+
     def test_from_json_names_missing_kind(self):
         with pytest.raises(ValueError, match="^missing adversary keys: kind$"):
             AdversarySpec.from_json({"r": 3, "seed": 1})

@@ -195,6 +195,11 @@ def test_missing_config_exits_2(tmp_path, capsys):
     ("--config", '{"n_grid": [12], "c_grid": [1.0], "adversary": {"kind": "GreedyProper"}, '
                  '"trials": 2, "master_seed": 1}', "missing sweep config keys: ell"),
     ("--config", '[4, [12]]', "sweep config must be a JSON object, got list"),
+    ("--config", '{"ell": 4, "n_grid": [12], "c_grid": [1.0], "trials": 2, "master_seed": 1, '
+                 '"adversary": {"kind": "RandomR", "r": 2, "seed": -1}}',
+     "seed must be >= 0, got -1"),
+    ("--config", '{"ell": 4, "n_grid": [12], "c_grid": [1.0], "trials": 2, "master_seed": 1, '
+                 '"adversary": {"kind": "GreedyProper"}, "budget": 0}', "budget must be >= 1"),
 ])
 def test_malformed_input_file_exits_2(flag, text, message, coloured_files, tmp_path, capsys):
     gpath, cpath = coloured_files

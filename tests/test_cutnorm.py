@@ -480,6 +480,22 @@ class TestWeightedGraphObject:
         with pytest.raises(ValueError, match="weights must be finite"):
             WeightedGraph.constant(4, value)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_arithmetic_refuses_non_finite_scalar(self, value):
+        # the product would hold nan weights, which the constructor refuses
+        with pytest.raises(ValueError, match="scalar must be finite"):
+            WeightedGraph.zeros(3) * value
+        with pytest.raises(ValueError, match="scalar must be finite"):
+            value * WeightedGraph.zeros(3)
+        with pytest.raises(ValueError, match="scale must be finite"):
+            WeightedGraph.indicator(OrderedGraph.complete(3), scale=value)
+
+    def test_arithmetic_keeps_finite_scalars(self):
+        assert np.array_equal((WeightedGraph.constant(3, 1.0) * 2).w,
+                              WeightedGraph.constant(3, 2.0).w)
+        assert np.array_equal(WeightedGraph.indicator(OrderedGraph.complete(3), scale=-0.5).w,
+                              WeightedGraph.constant(3, -0.5).w)
+
     def test_io_rejects_wrong_pair_order(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("3\n1 2 0.5\n2 3 0.25\n1 3 0.75\n")

@@ -105,6 +105,8 @@ class TestConfig:
 
     def test_validation(self):
         for key, value, match in (("trials", 0, "trials must be >= 1"),
+                                  ("budget", 0, "budget must be >= 1"),
+                                  ("budget", -5, "budget must be >= 1"),
                                   ("c_grid", [-1.0], "c_grid must list positive reals"),
                                   ("predicate", "weird", "predicate must be one of")):
             assert_refused({**small_config().to_json(), key: value}, match)
