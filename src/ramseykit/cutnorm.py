@@ -125,14 +125,21 @@ class WeightedGraph:
 
     def __sub__(self, other: "WeightedGraph") -> "WeightedGraph":
         self._check_compatible(other)
-        return WeightedGraph._trusted(self.w - other.w)
+        return WeightedGraph._result("-", self.w - other.w)
 
     def __add__(self, other: "WeightedGraph") -> "WeightedGraph":
         self._check_compatible(other)
-        return WeightedGraph._trusted(self.w + other.w)
+        return WeightedGraph._result("+", self.w + other.w)
 
     def __mul__(self, scalar: float) -> "WeightedGraph":
-        return WeightedGraph._trusted(self.w * _finite("scalar", scalar))
+        return WeightedGraph._result("*", self.w * _finite("scalar", scalar))
+
+    @classmethod
+    def _result(cls, op: str, w: np.ndarray) -> "WeightedGraph":
+        """Wrap the weights operator ``op`` computed, refusing any that overflowed."""
+        if not np.isfinite(w).all():
+            raise ValueError(f"WeightedGraph {op} overflows: weights must be finite")
+        return cls._trusted(w)
 
     __rmul__ = __mul__
 

@@ -322,23 +322,12 @@ def degree_into(graph: OrderedGraph, v: int, us: Iterable[int]) -> int:
 def _has_conflicting_clique_pair(adj: Sequence[int], common: int, k: int) -> bool:
     """Do two distinct k-cliques inside ``common`` share a vertex?
 
-    Used by the cleaning scan with k = ell-2: two K_ell through a fixed edge
-    intersect in >= 3 vertices iff their residual (ell-2)-cliques inside the
-    common neighbourhood share a vertex.  For k = 1 distinct singletons are
-    disjoint, so the answer is always False.  For k = 2 the cliques are
-    edges, and two distinct edges inside ``common`` share a vertex iff some
-    vertex of ``common`` has two neighbours inside ``common``.
+    Used by the cleaning scan with k = ell-2 >= 3: two K_ell through a fixed
+    edge intersect in >= 3 vertices iff their residual (ell-2)-cliques inside
+    the common neighbourhood share a vertex.
     """
-    if k < 2 or common.bit_count() < k + 1:
+    if common.bit_count() <= k:
         return False  # two distinct k-sets sharing a vertex span >= k+1 vertices
-    if k == 2:
-        rest = common
-        while rest:
-            low = rest & -rest
-            if (adj[low.bit_length() - 1] & common).bit_count() >= 2:
-                return True
-            rest ^= low
-        return False
     seen = 0
     for clique in _extend_cliques(adj, common, k):
         for w in clique:
@@ -365,10 +354,27 @@ def clean_subgraph(graph: OrderedGraph, ell: int) -> OrderedGraph:
     adj = list(graph._adj)
     removed = []
     for i, (u, v) in enumerate(graph.edges):
-        if _has_conflicting_clique_pair(adj, adj[u] & adj[v], ell - 2):
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-            removed.append(i)
+        common = adj[u] & adj[v]
+        if ell == 4:
+            # two edges inside common share a vertex iff some w in common has
+            # two neighbours x, y there.  Only a w above v can: for w < v the
+            # edge uw came earlier in the scan with v, x, y in its common
+            # neighbourhood, so it was removed.  Walk those w from the top.
+            if common.bit_count() < 3:
+                continue
+            rest = common & -(2 << v)
+            while rest:
+                w = rest.bit_length() - 1
+                rest ^= 1 << w
+                if (adj[w] & common).bit_count() >= 2:
+                    break
+            else:
+                continue
+        elif not _has_conflicting_clique_pair(adj, common, ell - 2):
+            continue
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+        removed.append(i)
     if not removed:
         return graph
     keep = np.ones(graph.edge_count, dtype=bool)

@@ -490,6 +490,20 @@ class TestWeightedGraphObject:
         with pytest.raises(ValueError, match="scale must be finite"):
             WeightedGraph.indicator(OrderedGraph.complete(3), scale=value)
 
+    def test_arithmetic_refuses_overflow(self):
+        # finite operands whose result overflows to +-inf, which the
+        # constructor would refuse
+        big = WeightedGraph.constant(3, 1e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=r"^WeightedGraph \+ overflows"):
+                big + big
+            with pytest.raises(ValueError, match="^WeightedGraph - overflows"):
+                big - WeightedGraph.constant(3, -1e308)
+            with pytest.raises(ValueError, match=r"^WeightedGraph \* overflows"):
+                big * 10
+            with pytest.raises(ValueError, match=r"^WeightedGraph \* overflows"):
+                -10 * big
+
     def test_arithmetic_keeps_finite_scalars(self):
         assert np.array_equal((WeightedGraph.constant(3, 1.0) * 2).w,
                               WeightedGraph.constant(3, 2.0).w)

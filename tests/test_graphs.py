@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -72,6 +73,16 @@ def graphs_with_mask(draw):
         mask = mask & other if sparse else mask | other
     graph = OrderedGraph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
     return graph, draw(st.integers(0, 2 ** n - 1)) << 1
+
+
+def under_first_edge(n, edges):
+    """Graph on {1,...,n+2}: ``edges`` on {1,...,n} moved up to {3,...,n+2},
+    plus the edge (1, 2) and every edge from 1 and from 2 to the moved
+    vertices.  (1, 2) comes first in the cleaning scan, so its common
+    neighbourhood there is exactly the moved graph."""
+    moved = [(a + 2, b + 2) for a, b in edges]
+    joins = [(a, w) for a in (1, 2) for w in range(3, n + 3)]
+    return OrderedGraph(n + 2, [(1, 2), *moved, *joins])
 
 
 class TestGnp:
@@ -270,16 +281,24 @@ class TestCleanSubgraph:
         assert clean_subgraph(g, 3) is g
 
     @settings(max_examples=300, deadline=None)
-    @given(graphs_with_mask(), st.integers(1, 4))
-    # a path 1-2-3 (its middle vertex has two neighbours, each end one), one
-    # edge beside an isolated vertex, and two disjoint edges
-    @example((OrderedGraph(3, [(1, 2), (2, 3)]), 0b1110), 2)
-    @example((OrderedGraph(3, [(1, 3)]), 0b1110), 2)
-    @example((OrderedGraph(4, [(1, 2), (3, 4)]), 0b11110), 2)
+    @given(graphs_with_mask(), st.sampled_from([1, 3, 4]))
     def test_conflict_test_matches_brute_force(self, graph_and_common, k):
         graph, common = graph_and_common
         adj = [0] + [graph.adjacency(v) for v in graph.vertices]
         assert _has_conflicting_clique_pair(adj, common, k) == brute_conflict(graph, common, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_mask().map(lambda graph_and_common: graph_and_common[0]),
+           st.sampled_from([4, 5]))
+    # the ell = 4 scan's own conflict test (k = 2) at the first edge (1, 2),
+    # under a common neighbourhood inducing a path (its middle vertex has two
+    # neighbours there, each end one), one edge beside an isolated vertex,
+    # and two disjoint edges
+    @example(under_first_edge(3, [(1, 2), (2, 3)]), 4)
+    @example(under_first_edge(3, [(1, 3)]), 4)
+    @example(under_first_edge(4, [(1, 2), (3, 4)]), 4)
+    def test_matches_brute_force_at_every_density(self, graph, ell):
+        assert clean_subgraph(graph, ell) == brute_clean(graph, ell)
 
     def test_k5_ell4_regression(self):
         # frozen from a direct simulation of the lexicographic scan
@@ -311,6 +330,32 @@ class TestCleanSubgraph:
         for seed in range(3):
             g = gnp_generate(n, p, seed).graph
             assert clean_subgraph(g, 4) == brute_clean(g, 4), f"seed {seed}"
+
+    # sha256 of the cleaned edge tuples at seeds 0-2, per criterion-07 cell
+    # (ell = 4, p = C n^(-2/5)): the order in which the scan walks a common
+    # neighbourhood must not change which edges it removes, and brute_clean
+    # cannot reach n = 120
+    CELL_DIGESTS = {
+        (60, 0.3): "fba10a3d9fccbef2",
+        (60, 0.6): "f9e78fb475f3ff4e",
+        (60, 1.0): "2569ceb3408e7078",
+        (60, 1.5): "3a59c1c6f166011f",
+        (60, 2.5): "0dae6bc29a8a6665",
+        (120, 0.3): "51563b0537d49b32",
+        (120, 0.6): "866a80199cd5557d",
+        (120, 1.0): "3c61d092daf36c30",
+        (120, 1.5): "dee9a4a1acc4619d",
+        (120, 2.5): "e2de833ae90f3311",
+    }
+
+    @pytest.mark.parametrize("cell", sorted(CELL_DIGESTS))
+    def test_criterion_07_cells_pinned(self, cell):
+        n, c = cell
+        digest = hashlib.sha256()
+        for seed in range(3):
+            cleaned = clean_subgraph(gnp_generate(n, c * n ** -0.4, seed).graph, 4)
+            digest.update(repr(cleaned.edges).encode())
+        assert digest.hexdigest()[:16] == self.CELL_DIGESTS[cell]
 
     def test_structural_invariants(self):
         for seed in range(5):
