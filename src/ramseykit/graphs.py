@@ -250,7 +250,10 @@ def _extend_cliques(adj: Sequence[int], cand: int, need: int,
     """Stream ``prefix`` + c for every increasing ``need``-tuple c of pairwise
     adjacent vertices in ``cand``, in lexicographic order.
 
-    ``admit(prefix, v)``, when given, is asked before v joins the prefix; a
+    ``admit(prefix, v)``, when given, is asked only where prefix + [v] can
+    still complete by count: v is the last vertex (``need == 1``), or at
+    least need - 1 candidates above v are adjacent to v.  At need <= 2 the
+    count is exact, so admit sees only prefixes of streamed tuples.  A
     refusal prunes every tuple through prefix + [v].  ``prefix`` is shared
     scratch space: it holds the current partial tuple during each call.
     """
@@ -263,16 +266,16 @@ def _extend_cliques(adj: Sequence[int], cand: int, need: int,
         rest ^= low
         if rest.bit_count() + 1 < need:
             return
-        if admit is not None and not admit(prefix, v):
-            continue
         if need == 1:
-            yield (*prefix, v)
+            if admit is None or admit(prefix, v):
+                yield (*prefix, v)
             continue
         sub = rest & adj[v]
-        if sub.bit_count() >= need - 1:
-            prefix.append(v)
-            yield from _extend_cliques(adj, sub, need - 1, admit, prefix)
-            prefix.pop()
+        if sub.bit_count() < need - 1 or (admit is not None and not admit(prefix, v)):
+            continue
+        prefix.append(v)
+        yield from _extend_cliques(adj, sub, need - 1, admit, prefix)
+        prefix.pop()
 
 
 def count_cliques(graph: OrderedGraph, ell: int,

@@ -67,6 +67,10 @@ class ArrowQuery:
 
 @dataclass(frozen=True)
 class SearchOutcome:
+    """The first clique found, if any, and the work done: ``nodes_explored``
+    counts the cliques classified (canonical search) or the candidates
+    tested for a colour collision (rainbow search)."""
+
     found: bool
     witness: Optional[CanonicalWitness]
     nodes_explored: int
@@ -113,6 +117,9 @@ def find_rainbow_copy(phi: EdgeColouring, ell: int,
     A partial tuple is abandoned as soon as two of its chosen edges share a
     colour, so only rainbow-extendable prefixes are explored; the first
     completed tuple is the lexicographically smallest rainbow K_ell.
+    ``nodes_explored`` counts the (prefix, v) pairs tested, which are only
+    those that can still complete by count: v closes the clique, or at
+    least the missing number of common neighbours lie above v.
     """
     if ell < 3:
         raise ValueError("ell must be >= 3")

@@ -250,6 +250,50 @@ class TestCliques:
         with pytest.raises(ValueError):
             count_cliques(OrderedGraph.complete(3), 1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_mask(), st.integers(1, 5), st.integers(0, 2 ** 16))
+    # a star K_{1,3}: at need 3 its centre has enough candidates by count,
+    # so admit sees it although no triangle completes
+    @example((OrderedGraph(4, [(1, 2), (1, 3), (1, 4)]), 0b11110), 3, 1)
+    def test_admit_asked_only_where_the_count_can_complete(self, graph_and_mask, need, salt):
+        graph, mask = graph_and_mask
+        adj = graph._adj
+
+        def refuses(prefix, v):  # deterministic pseudo-random refusals, about 1 in 3
+            return hash((salt, *prefix, v)) % 3 == 0
+
+        calls = []
+
+        def admit(prefix, v):
+            calls.append((*prefix, v))
+            return not refuses(prefix, v)
+
+        def admitted(tup, steps):  # were the first ``steps`` steps to tup admitted?
+            return not any(refuses(tup[:j], tup[j]) for j in range(steps))
+
+        plain = list(graphs._extend_cliques(adj, mask, need))
+        got = list(graphs._extend_cliques(adj, mask, need, admit))
+        assert got == [t for t in plain if admitted(t, need)]
+
+        # admit sees prefix + [v] iff it is a clique in the mask whose earlier
+        # steps were admitted and, below the last level, with at least the
+        # missing number of common neighbours above v; pre-order is tuple order
+        members = [v for v in graph.vertices if mask >> v & 1]
+        expected = []
+        for k in range(1, need + 1):
+            for tup in itertools.combinations(members, k):
+                if not all(adj[a] >> b & 1 for a, b in itertools.combinations(tup, 2)):
+                    continue
+                above = [w for w in members if w > tup[-1] and all(adj[u] >> w & 1 for u in tup)]
+                if (k == need or len(above) >= need - k) and admitted(tup, k - 1):
+                    expected.append(tup)
+        assert calls == sorted(expected)
+        # with at most one vertex left to add after v the count is exact:
+        # every such call extends to a clique of the stream without admit
+        for call in calls:
+            if len(call) >= need - 1:
+                assert any(t[:len(call)] == call for t in plain)
+
 
 class TestEdgeCounts:
     def test_double_counting_inside_intersection(self):

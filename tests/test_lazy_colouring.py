@@ -19,6 +19,7 @@ from ramseykit import (
     ErConstants,
     OrderedGraph,
     build_sequence,
+    enumerate_cliques,
     find_rainbow_copy,
     generate_colouring,
     gnp_generate,
@@ -202,3 +203,26 @@ class TestRainbowSearchReads:
         outcome = find_rainbow_copy(phi, 3)
         assert not outcome.found and outcome.nodes_explored > 0
         assert phi._rows.filled == 0 and not phi._rows
+
+    def test_triangles_in_no_k4_read_no_row(self):
+        # the octahedron K_{2,2,2} has eight triangles and no K_4
+        octahedron = OrderedGraph(6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)
+                                      if (u, v) not in [(1, 2), (3, 4), (5, 6)]])
+        assert list(enumerate_cliques(octahedron, 3)) and not list(enumerate_cliques(octahedron, 4))
+        phi = lazy_greedy(octahedron)
+        outcome = find_rainbow_copy(phi, 4)
+        assert not outcome.found and outcome.nodes_explored > 0
+        assert phi._rows.filled == 0 and not phi._rows
+
+    def test_rows_read_only_up_to_the_k4s_third_vertex(self):
+        # triangles below and above the only K_4, {9, 10, 11, 12}; greedy
+        # colours it 0, 1, 2, 2, 1, 0, so the search goes on past it
+        edges = [(1, 2), (1, 3), (2, 3), (3, 4), (2, 4), (5, 6), (5, 7), (6, 7),
+                 (9, 10), (9, 11), (9, 12), (10, 11), (10, 12), (11, 12),
+                 (12, 13), (12, 14), (12, 15), (13, 14), (13, 15), (14, 16), (15, 16)]
+        graph = OrderedGraph(16, edges)
+        assert list(enumerate_cliques(graph, 4)) == [(9, 10, 11, 12)]
+        phi = lazy_greedy(graph)
+        assert not find_rainbow_copy(phi, 4).found
+        assert phi._rows.filled == sum(1 for u, _ in graph.edges if u <= 11)
+        assert max(phi._rows) == 11
