@@ -30,7 +30,7 @@ from ramseykit import (
     two_density,
     write_weighted,
 )
-from ramseykit.cutnorm import _einsum_path
+from ramseykit.cutnorm import _chunk_bounds, _einsum_path, _subset_bits, _subset_sums
 
 K3 = PatternGraph.complete(3)
 
@@ -65,6 +65,60 @@ def single_block_cutnorm(f):
         best = max(best, np.maximum(sums, 0.0).sum(axis=1).max(),
                    np.maximum(-sums, 0.0).sum(axis=1).max())
     return best / n**2
+
+
+def reference_subset_sums(rows):
+    k = rows.shape[0]
+    bits = (np.arange(1 << k) >> np.arange(k)[:, None]) & 1
+    return rows.T @ bits.astype(np.float64)
+
+
+def reference_chunk_maxima(f):
+    """Reference: the split kernel run over every chunk of high-block columns,
+    in plain order, with a fresh bit table per call; returns each chunk's
+    float64 max(pos, neg), unnormalised."""
+    n = f.n
+    lo = 12 if n > 16 else (n + 1) // 2
+    s_lo = reference_subset_sums(f.w[:lo])
+    s_hi = reference_subset_sums(f.w[lo:])
+    t_lo = s_lo.sum(axis=0)
+    t_hi = s_hi.sum(axis=0)
+    n_hi = s_hi.shape[1]
+    chunk = min(n_hi, (1 << 13) >> lo)
+    buf = np.empty((n, chunk, 1 << lo))
+    maxima = []
+    for h0 in range(0, n_hi, chunk):
+        hs = slice(h0, h0 + chunk)
+        np.add(s_lo[:, None, :], s_hi[:, hs, None], out=buf)
+        np.maximum(buf, 0.0, out=buf)
+        pos = buf.sum(axis=0)
+        neg = pos - (t_lo + t_hi[hs, None])
+        maxima.append(max(float(pos.max()), float(neg.max())))
+    return maxima
+
+
+def reference_exact(f):
+    """Reference: the exact cut norm with every chunk computed in float64."""
+    return max(0.0, *reference_chunk_maxima(f)) / (f.n * f.n)
+
+
+MAGNITUDES = ("dyadic", "uniform", "zero", "huge", "subnormal", "mixed")
+
+
+def magnitude_weights(n, kind, seed):
+    """Symmetric zero-diagonal weights of one magnitude class: +-1/2 as in
+    G(n, 1/2) - 1/2, uniform in [-1, 1], zero, uniform times 1e300, uniform
+    times 1e-320 (subnormal), or uniform times 2^k for k in [-300, 300]."""
+    rng = np.random.default_rng(seed)
+    if kind == "dyadic":
+        a = np.where(rng.random((n, n)) < 0.5, 0.5, -0.5)
+    else:
+        a = rng.uniform(-1.0, 1.0, size=(n, n)) * {
+            "uniform": 1.0, "zero": 0.0, "huge": 1e300, "subnormal": 1e-320,
+        }.get(kind, 1.0)
+        if kind == "mixed":
+            a = np.ldexp(a, rng.integers(-300, 301, size=(n, n)))
+    return symmetric(a)
 
 
 def reference_heuristic(f, restarts=20, seed=0):
@@ -180,6 +234,73 @@ class TestCutnormBlockSplit:
     def test_constant_at_guard(self, value):
         n = EXACT_CUTNORM_GUARD
         assert cutnorm_exact(WeightedGraph.constant(n, value)) == pytest.approx((n - 1) / n)
+
+
+class TestCutnormBestFirst:
+    """Past one chunk of high-block columns (n >= 14) the kernel bounds every
+    chunk in float32 and computes in float64 only those that can still hold
+    the maximum; the result must not change by a single bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(14, 19), kind=st.sampled_from(MAGNITUDES),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=19, kind="dyadic", seed=0)
+    @example(n=14, kind="zero", seed=0)
+    @example(n=19, kind="huge", seed=1)
+    @example(n=19, kind="subnormal", seed=2)
+    @example(n=17, kind="mixed", seed=3)
+    def test_bit_identical_to_every_chunk_reference(self, n, kind, seed):
+        f = magnitude_weights(n, kind, seed)
+        assert cutnorm_exact(f) == reference_exact(f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(14, 19), kind=st.sampled_from(MAGNITUDES),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=19, kind="uniform", seed=0)
+    @example(n=16, kind="huge", seed=1)
+    @example(n=15, kind="subnormal", seed=2)
+    @example(n=18, kind="mixed", seed=3)
+    def test_no_bound_below_its_chunk_maximum(self, n, kind, seed):
+        # skipping a chunk is safe only because of this
+        f = magnitude_weights(n, kind, seed)
+        lo = 12 if n > 16 else (n + 1) // 2
+        s_lo, s_hi = _subset_sums(f.w[:lo]), _subset_sums(f.w[lo:])
+        chunk = min(s_hi.shape[1], (1 << 13) >> lo)
+        bounds, shift = _chunk_bounds(s_lo, s_hi, s_lo.sum(axis=0), s_hi.sum(axis=0),
+                                      chunk, np.empty((n, chunk, 1 << lo)))
+        maxima = reference_chunk_maxima(f)
+        assert len(bounds) == len(maxima)
+        for bound, top in zip(bounds, maxima):
+            assert math.ldexp(top, shift) <= bound
+
+    def test_bit_table_is_cached_read_only(self):
+        bits = _subset_bits(5)
+        assert _subset_bits(5) is bits
+        with pytest.raises(ValueError):
+            bits[0, 0] = 2.0
+
+    @pytest.mark.parametrize("n", [14, 19, EXACT_CUTNORM_GUARD])
+    def test_constant_near_overflow(self, n):
+        assert cutnorm_exact(WeightedGraph.constant(n, 1e300)) == pytest.approx((n - 1) / n * 1e300)
+
+    def test_refuses_absolute_total_that_overflows(self):
+        # 19 * 18 * 1e307 overflows, though every weight is finite
+        big = WeightedGraph.constant(19, 1e307)
+        with pytest.raises(ValueError, match="finite total"):
+            cutnorm_exact(big)
+        with pytest.raises(ValueError, match="finite total"):
+            cutnorm_heuristic(big, restarts=2)
+        with pytest.raises(ValueError, match="finite total"):
+            cutnorm_heuristic(WeightedGraph.constant(3, 1.5e308), restarts=2)
+
+    def test_accepts_one_huge_weight_whose_total_is_finite(self):
+        # 19^2 * 1e307 overflows, but the absolute total is only 2e307
+        w = np.zeros((19, 19))
+        w[0, 1] = w[1, 0] = 1e307
+        f = WeightedGraph(w)
+        # U = W = {1, 2} counts the weight twice
+        assert cutnorm_exact(f) == pytest.approx(2e307 / 19**2)
+        assert cutnorm_heuristic(f, restarts=2) == pytest.approx(2e307 / 19**2)
 
 
 class TestCutnormHeuristic:
