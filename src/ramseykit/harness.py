@@ -9,13 +9,12 @@ import logging
 import math
 import time
 from dataclasses import MISSING, dataclass, field, fields
-from functools import reduce
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Optional, Sequence
 
 from .adversaries import AdversarySpec, _check_json_keys, _int_field, generate_colouring
 from .colouring import PatternTag
-from .graphs import _write_lines, clean_subgraph, enumerate_cliques, gnp_generate
+from .graphs import OrderedGraph, _extend_cliques, _write_lines, clean_subgraph, gnp_generate
 from .search import (
     ArrowQuery,
     DEFAULT_NODE_BUDGET,
@@ -356,14 +355,50 @@ class CorollaryReport:
     witnesses_checked: int
 
 
+def _clean_breach(graph: OrderedGraph, ell: int) -> Optional[str]:
+    """The invariant of an ell-clean graph (ell >= 4) that ``graph`` breaks,
+    a K_{ell+1} before two K_ell sharing three vertices, or None.
+
+    Each triangle uvw (u < v < w) is visited once, from its first edge uv,
+    with L the common neighbourhood of u, v and w.  A K_{ell-2} inside L is
+    a K_{ell+1}; each K_{ell+1} is met at its three lowest vertices, so only
+    L above w is searched.  Two distinct K_{ell-3} inside L are two K_ell
+    sharing uvw.  Both need |L| >= ell-2, hence ell-1 common neighbours of
+    u and v.
+    """
+    adj = graph._adj
+    shared = False
+    for u, v in graph.edges:
+        common = adj[u] & adj[v]
+        if common.bit_count() < ell - 1:
+            continue
+        rest = common & -(2 << v)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            inner = common & adj[low.bit_length() - 1]
+            if inner.bit_count() < ell - 2:
+                continue
+            if next(_extend_cliques(adj, inner & -(low << 1), ell - 2), None) is not None:
+                return f"K_{ell + 1} present after cleaning"
+            # a K_{ell+1} anywhere is reported first, so the scan goes on
+            second = islice(_extend_cliques(adj, inner, ell - 3), 1, None)
+            shared = shared or next(second, None) is not None
+    return f"two K_{ell} share >= 3 vertices" if shared else None
+
+
 def verify_corollary_mode(records: Iterable[TrialRecord]) -> CorollaryReport:
     """Re-audit a clean-mode sweep from its seeds.
 
     For every trial the cleaned graph is regenerated and re-checked: at
-    ell >= 4, no K_{ell+1} (no K_ell has a common neighbour) and no two K_ell
-    sharing >= 3 vertices (no triangle lies in two K_ell), and any recorded
-    witness must induce a clique of the cleaned graph.  A failure raises
-    InvariantBreach and indicates a bug.
+    ell >= 4, no K_{ell+1} and no two K_ell sharing >= 3 vertices.  Both are
+    checked one triangle at a time: a K_{ell+1} is a triangle plus a
+    K_{ell-2} among the triangle's common neighbours, and any three shared
+    vertices of two K_ell form a triangle whose common neighbours hold two
+    distinct K_{ell-3}.  A K_{ell+1} anywhere in the graph is reported
+    before any shared triangle.  A recorded witness must then be ell
+    strictly increasing vertices, pairwise adjacent in the cleaned graph.
+    A failure raises InvariantBreach and indicates a bug.
     """
     recs = list(records)
     witnesses = 0
@@ -372,14 +407,14 @@ def verify_corollary_mode(records: Iterable[TrialRecord]) -> CorollaryReport:
             raise ValueError("verify_corollary_mode requires a clean_mode sweep")
         graph = gnp_generate(rec.n, rec.p, rec.seed).graph
         cleaned = clean_subgraph(graph, rec.ell)
-        cliques = list(enumerate_cliques(cleaned, rec.ell)) if rec.ell >= 4 else []
-        if any(reduce(int.__and__, map(cleaned.adjacency, clique)) for clique in cliques):
-            raise InvariantBreach(f"K_{rec.ell + 1} present after cleaning (seed {rec.seed})")
-        triangles = [tri for clique in cliques for tri in combinations(clique, 3)]
-        if len(set(triangles)) < len(triangles):
-            raise InvariantBreach(f"two K_{rec.ell} share >= 3 vertices (seed {rec.seed})")
-        if rec.found and rec.witness:
+        breach = _clean_breach(cleaned, rec.ell) if rec.ell >= 4 else None
+        if breach is not None:
+            raise InvariantBreach(f"{breach} (seed {rec.seed})")
+        if rec.found and rec.witness is not None:
             verts = rec.witness
+            if len(verts) != rec.ell or any(a >= b for a, b in zip(verts, verts[1:])):
+                raise InvariantBreach(f"witness {verts} is not {rec.ell} increasing "
+                                      f"vertices (seed {rec.seed})")
             if not all(cleaned.has_edge(a, b) for a, b in combinations(verts, 2)):
                 raise InvariantBreach(f"witness {verts} leaves the cleaned graph (seed {rec.seed})")
             witnesses += 1

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import logging
@@ -386,11 +387,24 @@ class TestCorollaryMode:
         with pytest.raises(InvariantBreach, match=f"{message} \\(seed {rec.seed}\\)"):
             verify_corollary_mode([rec])
 
+    @pytest.mark.parametrize("ell", [4, 5, 6])
+    def test_clique_found_after_an_earlier_shared_triangle(self, monkeypatch, ell):
+        # K_{ell+1} minus one edge on {1,...,ell+1} holds two K_ell sharing a
+        # triangle that the scan meets first; a K_{ell+1} on the next ell+1
+        # vertices must still be the breach reported
+        low = [e for e in itertools.combinations(range(1, ell + 2), 2) if e != (ell, ell + 1)]
+        high = list(itertools.combinations(range(ell + 2, 2 * ell + 3), 2))
+        graph = OrderedGraph(2 * ell + 2, low + high)
+        rec = unfound_clean_record(ell)
+        monkeypatch.setattr(harness, "clean_subgraph", lambda g, k: graph)
+        with pytest.raises(InvariantBreach, match=f"K_{ell + 1} present after cleaning"):
+            verify_corollary_mode([rec])
+
     @settings(max_examples=150, deadline=None)
-    @given(st.data(), st.sampled_from([4, 5]))
+    @given(st.data(), st.sampled_from([4, 5, 6]))
     def test_audit_matches_brute_force(self, data, ell):
         # graphs the audit could be handed, against a subset-by-subset oracle;
-        # OR-ing masks makes the dense graphs that hold K_5 and K_6 likely
+        # OR-ing masks makes the dense graphs that hold K_5 to K_7 likely
         n = data.draw(st.integers(1, 9))
         pairs = list(itertools.combinations(range(1, n + 1), 2))
         mask = 0
@@ -433,4 +447,19 @@ class TestCorollaryMode:
             witness=(last + shift, *rest),
         )
         with pytest.raises(InvariantBreach):
+            verify_corollary_mode([forged])
+
+    @pytest.mark.parametrize("witness", [
+        lambda w: w[:3], lambda w: w[:2], lambda w: w[:1], lambda w: (),
+        lambda w: w[::-1], lambda w: (w[0], *w[:3]), lambda w: (*w, w[-1] + 1),
+    ], ids=["cut-3", "cut-2", "cut-1", "empty", "reversed", "repeated", "extended"])
+    def test_witness_must_be_ell_increasing_vertices(self, witness):
+        # pairwise adjacent vertices are not enough: a recorded K_ell witness
+        # has exactly ell strictly increasing vertices
+        cfg = small_config(clean_mode=True, n_grid=(24,), c_grid=(1.5,), trials=5,
+                           adversary=AdversarySpec("Injective"))
+        rec = next(r for r in run_sweep(cfg).records if r.found)
+        assert verify_corollary_mode([rec]).witnesses_checked == 1
+        forged = dataclasses.replace(rec, witness=witness(rec.witness))
+        with pytest.raises(InvariantBreach, match=f"is not {rec.ell} increasing vertices"):
             verify_corollary_mode([forged])
