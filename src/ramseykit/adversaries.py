@@ -8,7 +8,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .colouring import EdgeColouring, _max_colour_degree
-from .graphs import OrderedGraph
+from .graphs import OrderedGraph, _bit_table
 
 __all__ = [
     "KINDS",
@@ -107,15 +107,16 @@ def _greedy_proper(graph: OrderedGraph) -> Callable[[int, int], list[int]]:
     ``graph.edges[start:end]``, called on consecutive slices from 0."""
     used = [0] * (graph.n + 1)  # bitmask of the colours at each vertex
     edges = graph.edges
+    bit = _bit_table(graph.n)[0]
 
     def source(start: int, end: int) -> list[int]:
         colours = []
         for u, v in edges[start:end]:
             taken = used[u] | used[v]
-            least = ~taken & (taken + 1)  # lowest colour absent at both ends
-            colours.append(least.bit_length() - 1)
-            used[u] |= least
-            used[v] |= least
+            c = (taken ^ (taken + 1)).bit_length() - 1  # lowest colour absent at both ends
+            colours.append(c)
+            used[u] |= bit[c]
+            used[v] |= bit[c]
         return colours
 
     return source

@@ -452,7 +452,7 @@ def sample_graph_from_weights(d: WeightedGraph, seed: int) -> OrderedGraph:
     """
     if not d.in_unit_range():
         raise RangeViolation("edge probabilities must lie in [0,1]")
-    us, vs, _ = _pair_table(d.n)
+    us, vs, _, _ = _pair_table(d.n)
     return _sample_pairs(d.n, d.w[us - 1, vs - 1], seed)
 
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
+from functools import lru_cache
+from itertools import compress
 from threading import Lock
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -110,7 +111,7 @@ class OrderedGraph:
             raise ValueError("vertex count must be >= 1")
         full = ((1 << (n + 1)) - 1) & ~1
         adj = [0] + [full & ~(1 << v) for v in range(1, n + 1)]
-        us, vs, pairs = _pair_table(n)
+        us, vs, pairs, _ = _pair_table(n)
         return cls._trusted(n, adj, tuple(pairs.tolist()), us, vs)
 
     @classmethod
@@ -201,26 +202,37 @@ def gnp_generate(n: int, p: float, seed: int) -> GnpSample:
 
 
 _PAIR_CAP = 1 << 20  # pairs cached over every n together
-_pair_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_pair_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 _pair_lock = Lock()
 
 
-def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every pair (u, v), 1 <= u < v <= n, in lexicographic order, as two
-    read-only endpoint arrays and a read-only object array of the (u, v)
-    tuples; shared by all graphs on n vertices.  The most recently used n
-    stay cached while they hold at most _PAIR_CAP pairs together."""
+    read-only endpoint arrays, a read-only object array of the (u, v) tuples
+    and a read-only (pairs, 2) array of the pair's two bits in the bitset
+    rows of an n-vertex graph laid out back to back, each row a whole number
+    of 64-bit words: bit v of row u, then bit u of row v.  Shared by all
+    graphs on n vertices.  The most recently used n stay cached while they
+    hold at most _PAIR_CAP pairs together."""
     with _pair_lock:
         table = _pair_tables.pop(n, None)
         if table is None:
             us, vs = np.add(np.triu_indices(n, k=1), 1)
             pairs = np.fromiter(zip(us.tolist(), vs.tolist()), dtype=object, count=len(us))
-            us.flags.writeable = vs.flags.writeable = pairs.flags.writeable = False
-            table = us, vs, pairs
+            row = _row_words(n) * 64
+            slots = np.stack((us * row + vs, vs * row + us), axis=1)
+            for array in (us, vs, pairs, slots):
+                array.flags.writeable = False
+            table = us, vs, pairs, slots
         _pair_tables[n] = table  # insertion order is use order, oldest first
         while sum(len(t[0]) for t in _pair_tables.values()) > _PAIR_CAP:
             del _pair_tables[next(iter(_pair_tables))]
     return table
+
+
+def _row_words(n: int) -> int:
+    """64-bit words in one bitset row of an n-vertex graph (bits 0..n)."""
+    return n // 64 + 1
 
 
 def _sample_pairs(n: int, probs: float | np.ndarray, seed: int) -> OrderedGraph:
@@ -230,18 +242,26 @@ def _sample_pairs(n: int, probs: float | np.ndarray, seed: int) -> OrderedGraph:
     order; ``probs`` is one probability for every pair or an array giving
     one per pair in that order.
     """
-    iu, iv, pairs = _pair_table(n)
+    iu, iv, pairs, slots = _pair_table(n)
     draws = np.random.Generator(np.random.PCG64(seed)).random(len(pairs))
     idx = np.flatnonzero(draws < probs)
-    us, vs = iu[idx], iv[idx]
-    mask = np.zeros((n + 1, n + 1), dtype=bool)
-    mask[us, vs] = True
-    mask |= mask.T
-    width = (n + 8) // 8
-    raw = np.packbits(mask, axis=1, bitorder="little").tobytes()
-    adj = list(map(int.from_bytes, (raw[i:i + width] for i in range(0, len(raw), width)),
-                   repeat("little")))
-    return OrderedGraph._trusted(n, adj, tuple(pairs[idx].tolist()), us, vs)
+    words = _row_words(n)
+    flat = np.zeros((n + 1) * words * 64, dtype=bool)
+    flat[slots.take(idx, axis=0)] = True
+    packed = np.packbits(flat, bitorder="little").view("<u8").tolist()
+    adj = packed[::words]
+    for j in range(1, words):  # word j of every row, above the words before it
+        adj = [row | word << 64 * j for row, word in zip(adj, packed[j::words])]
+    return OrderedGraph._trusted(n, adj, tuple(pairs[idx].tolist()), iu[idx], iv[idx])
+
+
+@lru_cache(maxsize=4)
+def _bit_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``bit[x] = 1 << x`` for x < 2n + 2 and ``above[v] = -(2 << v)``, the
+    bits above v, for v <= n.  The bit-level loops read these instead of
+    building a multi-digit int at each use; 2n + 2 bits also cover every
+    colour of a greedy proper edge colouring of a graph on n vertices."""
+    return tuple(1 << x for x in range(2 * n + 2)), tuple(-(2 << v) for v in range(n + 1))
 
 
 def _extend_cliques(adj: Sequence[int], cand: int, need: int,
@@ -322,8 +342,10 @@ def degree_into(graph: OrderedGraph, v: int, us: Iterable[int]) -> int:
     return (graph._adj[v] & vertex_mask(graph, us)).bit_count()
 
 
-def _has_conflicting_clique_pair(adj: Sequence[int], common: int, k: int) -> bool:
-    """Do two distinct k-cliques inside ``common`` share a vertex?
+def _has_conflicting_clique_pair(adj: Sequence[int], common: int, k: int,
+                                 bit: Sequence[int]) -> bool:
+    """Do two distinct k-cliques inside ``common`` share a vertex?  ``bit``
+    is the graph's single-bit table from ``_bit_table``.
 
     Used by the cleaning scan with k = ell-2 >= 3: two K_ell through a fixed
     edge intersect in >= 3 vertices iff their residual (ell-2)-cliques inside
@@ -334,9 +356,9 @@ def _has_conflicting_clique_pair(adj: Sequence[int], common: int, k: int) -> boo
     seen = 0
     for clique in _extend_cliques(adj, common, k):
         for w in clique:
-            if seen >> w & 1:
+            if seen & bit[w]:
                 return True
-            seen |= 1 << w
+            seen |= bit[w]
     return False
 
 
@@ -355,6 +377,7 @@ def clean_subgraph(graph: OrderedGraph, ell: int) -> OrderedGraph:
     if ell == 3:
         return graph
     adj = list(graph._adj)
+    bit, above = _bit_table(graph.n)
     removed = []
     for i, (u, v) in enumerate(graph.edges):
         common = adj[u] & adj[v]
@@ -365,18 +388,18 @@ def clean_subgraph(graph: OrderedGraph, ell: int) -> OrderedGraph:
             # neighbourhood, so it was removed.  Walk those w from the top.
             if common.bit_count() < 3:
                 continue
-            rest = common & -(2 << v)
+            rest = common & above[v]
             while rest:
                 w = rest.bit_length() - 1
-                rest ^= 1 << w
+                rest ^= bit[w]
                 if (adj[w] & common).bit_count() >= 2:
                     break
             else:
                 continue
-        elif not _has_conflicting_clique_pair(adj, common, ell - 2):
+        elif not _has_conflicting_clique_pair(adj, common, ell - 2, bit):
             continue
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
+        adj[u] ^= bit[v]  # uv is still an edge, so its bits are set
+        adj[v] ^= bit[u]
         removed.append(i)
     if not removed:
         return graph

@@ -14,7 +14,8 @@ from typing import Iterable, Optional, Sequence
 
 from .adversaries import AdversarySpec, _check_json_keys, _int_field, generate_colouring
 from .colouring import PatternTag
-from .graphs import OrderedGraph, _extend_cliques, _write_lines, clean_subgraph, gnp_generate
+from .graphs import (OrderedGraph, _bit_table, _extend_cliques, _write_lines, clean_subgraph,
+                     gnp_generate)
 from .search import (
     ArrowQuery,
     DEFAULT_NODE_BUDGET,
@@ -367,19 +368,20 @@ def _clean_breach(graph: OrderedGraph, ell: int) -> Optional[str]:
     u and v.
     """
     adj = graph._adj
+    bit, above = _bit_table(graph.n)
     shared = False
     for u, v in graph.edges:
         common = adj[u] & adj[v]
         if common.bit_count() < ell - 1:
             continue
-        rest = common & -(2 << v)
+        rest = common & above[v]
         while rest:
-            low = rest & -rest
-            rest ^= low
-            inner = common & adj[low.bit_length() - 1]
+            w = rest.bit_length() - 1
+            rest ^= bit[w]
+            inner = common & adj[w]
             if inner.bit_count() < ell - 2:
                 continue
-            if next(_extend_cliques(adj, inner & -(low << 1), ell - 2), None) is not None:
+            if next(_extend_cliques(adj, inner & above[w], ell - 2), None) is not None:
                 return f"K_{ell + 1} present after cleaning"
             # a K_{ell+1} anywhere is reported first, so the scan goes on
             second = islice(_extend_cliques(adj, inner, ell - 3), 1, None)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -164,25 +165,32 @@ class TestPairSampling:
         monkeypatch.setattr(graphs, "_pair_tables", {})
 
         def held():
-            return sum(len(us) for us, _, _ in graphs._pair_tables.values())
+            return sum(len(us) for us, *_ in graphs._pair_tables.values())
 
         for n in (1000, 60, 120, 7):
-            us, vs, pairs = _pair_table(n)
-            for table in (us, vs, pairs):
+            us, vs, pairs, slots = _pair_table(n)
+            for table in (us, vs, pairs, slots):
                 assert not table.flags.writeable
                 with pytest.raises(ValueError):
                     table[0] = table[1]
             want = list(itertools.combinations(range(1, n + 1), 2))
             assert pairs.tolist() == want and list(zip(us.tolist(), vs.tolist())) == want
+            # bit v of row u, then bit u of row v, in rows of whole 64-bit words
+            rows, cols = np.divmod(slots, 64 * (n // 64 + 1))
+            assert rows.tolist() == [[u, v] for u, v in want]
+            assert cols.tolist() == [[v, u] for u, v in want]
             assert held() <= graphs._PAIR_CAP
         assert list(graphs._pair_tables) == [1000, 60, 120, 7]
-        # a smaller cap drops the least recently used n first
+        # a smaller cap drops the least recently used n first, and its bit
+        # positions with it
         monkeypatch.setattr(graphs, "_pair_tables", {})
         monkeypatch.setattr(graphs, "_PAIR_CAP", 120)
+        slots = weakref.ref(_pair_table(10)[3])
         for n, cached in [(10, [10]), (12, [10, 12]), (10, [12, 10]), (8, [10, 8]),
                           (16, [16]), (17, [])]:
             assert _pair_table(n)[2].tolist() == list(itertools.combinations(range(1, n + 1), 2))
             assert list(graphs._pair_tables) == cached
+            assert (slots() is None) == (10 not in cached)
         for n in range(1, 30):
             _pair_table(n)
             assert held() <= 120
@@ -329,7 +337,8 @@ class TestCleanSubgraph:
     def test_conflict_test_matches_brute_force(self, graph_and_common, k):
         graph, common = graph_and_common
         adj = [0] + [graph.adjacency(v) for v in graph.vertices]
-        assert _has_conflicting_clique_pair(adj, common, k) == brute_conflict(graph, common, k)
+        bit = graphs._bit_table(graph.n)[0]
+        assert _has_conflicting_clique_pair(adj, common, k, bit) == brute_conflict(graph, common, k)
 
     @settings(max_examples=300, deadline=None)
     @given(graphs_with_mask().map(lambda graph_and_common: graph_and_common[0]),

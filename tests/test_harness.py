@@ -380,10 +380,15 @@ class TestCorollaryMode:
         # K_5 minus the edge 45: the K_4's 1234 and 1235 share the triangle 123
         ([e for e in itertools.combinations(range(1, 6), 2) if e != (4, 5)],
          "two K_4 share >= 3 vertices"),
+        # both again on 131..135, where the bitset rows run into a third word
+        (list(itertools.combinations(range(131, 136), 2)), "K_5 present after cleaning"),
+        ([e for e in itertools.combinations(range(131, 136), 2) if e != (134, 135)],
+         "two K_4 share >= 3 vertices"),
     ])
     def test_audit_reports_each_breach(self, monkeypatch, edges, message):
+        graph = OrderedGraph(edges[-1][1] + 5, edges)  # n = 10, or 140 above vertex 128
         rec = unfound_clean_record(4)
-        monkeypatch.setattr(harness, "clean_subgraph", lambda graph, ell: OrderedGraph(6, edges))
+        monkeypatch.setattr(harness, "clean_subgraph", lambda g, ell: graph)
         with pytest.raises(InvariantBreach, match=f"{message} \\(seed {rec.seed}\\)"):
             verify_corollary_mode([rec])
 

@@ -23,8 +23,9 @@ from ramseykit import (
 )
 from ramseykit.adversaries import KINDS
 
-# vertex counts on either side of the packbits byte boundaries
-SIZES = (1, 2, 7, 8, 9, 63, 64, 65, 120)
+# vertex counts on either side of the byte and 64-bit word boundaries of a
+# bitset row (bits 0..n): rows of n = 127 fill two words, n = 128 starts a third
+SIZES = (1, 2, 7, 8, 9, 63, 64, 65, 120, 127, 128, 129)
 
 SPECS = {
     "RandomR": AdversarySpec("RandomR", r=3, seed=4),
@@ -95,7 +96,10 @@ def test_adversary_matches_validated_colouring(kind, n, p):
     assert all(type(c) is int and c >= 0 for _, c in phi.items())
 
 
-@pytest.mark.parametrize("n,p,seed", [(9, 1.0, 0), (30, 0.4, 1), (80, 0.25, 2), (120, 0.1, 3)])
+# greedy colours K_70 and K_130 up to colours 126 and 254, past the first
+# and second 64-bit word of a colour set
+@pytest.mark.parametrize("n,p,seed", [(9, 1.0, 0), (30, 0.4, 1), (80, 0.25, 2), (120, 0.1, 3),
+                                      (70, 1.0, 0), (130, 1.0, 0)])
 def test_greedy_proper_matches_set_reference(n, p, seed):
     graph = gnp_generate(n, p, seed).graph
     phi = generate_colouring(graph, AdversarySpec("GreedyProper"))
@@ -105,7 +109,8 @@ def test_greedy_proper_matches_set_reference(n, p, seed):
 
 @pytest.mark.parametrize("ell", (4, 5))
 @pytest.mark.parametrize("n,p,seed", [(7, 1.0, 0), (12, 0.8, 0), (15, 0.8, 1), (16, 0.7, 1),
-                                      (30, 0.5, 2), (63, 0.4, 3), (64, 0.4, 4)])
+                                      (30, 0.5, 2), (63, 0.4, 3), (64, 0.4, 4),
+                                      (127, 0.4, 5), (128, 0.4, 6), (129, 0.4, 7)])
 def test_clean_subgraph_rows_match_validated_graph(ell, n, p, seed):
     graph = gnp_generate(n, p, seed).graph
     cleaned = clean_subgraph(graph, ell)
