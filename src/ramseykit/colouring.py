@@ -7,6 +7,8 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import ge, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -127,10 +129,10 @@ class EdgeColouring:
 
     def get(self, u: int, v: int) -> Optional[int]:
         """The colour of edge uv, or None if uv is not an edge."""
-        try:
-            c = self._rows[u][v] if u >= 0 and v >= 0 else -1  # no wrap-around
-        except IndexError:
+        n = self.host.n
+        if not (0 < u <= n and 0 < v <= n):  # read no row for a vertex outside the host
             return None
+        c = self._rows[u][v]
         return c if c >= 0 else None
 
     def items(self) -> Iterator[tuple[Edge, int]]:
@@ -225,56 +227,61 @@ class CanonicalWitness:
         return bool(self.tags & STRICT_TAGS)
 
 
-def _classify(colour_of: Callable[[int, int], Optional[int]],
-              vertices: Sequence[int]) -> set[PatternTag]:
-    verts = tuple(vertices)
-    if len(verts) < 2 or any(a >= b for a, b in zip(verts, verts[1:])):
+def _clique_colours(colour_of: Callable[[int, int], int],
+                    verts: tuple[int, ...]) -> tuple[int, ...]:
+    """The colours of the clique's edges (v_i, v_j), i < j, row by row;
+    ``colour_of`` raises KeyError on a non-edge."""
+    if len(verts) < 2 or any(map(ge, verts, verts[1:])):
         raise ValueError(f"vertices must be strictly increasing, got {verts}")
-    ell = len(verts)
-    grid: list[list[int]] = [[0] * ell for _ in range(ell)]
-    all_colours: list[int] = []
-    for i in range(ell):
-        for j in range(i + 1, ell):
-            c = colour_of(verts[i], verts[j])
-            if c is None:
-                raise NotAClique(f"edge ({verts[i]},{verts[j]}) absent")
-            grid[i][j] = c
-            all_colours.append(c)
+    colours = []
+    for i, u in enumerate(verts):
+        for w in verts[i + 1:]:
+            try:
+                colours.append(colour_of(u, w))
+            except KeyError:
+                raise NotAClique(f"edge ({u},{w}) absent") from None
+    return tuple(colours)
 
+
+@lru_cache(maxsize=16)
+def _heads(ell: int) -> tuple[Callable, Callable, Callable]:
+    """For a K_ell's colours listed row by row: the getters of each colour's
+    row head (i, i+1), of each colour's column head (0, j), and of the row
+    heads.  At ell = 2 each gets the one colour, and ``tuple`` is that getter."""
+    pairs = [(i, j) for i in range(ell) for j in range(i + 1, ell)]
+    at = {pair: k for k, pair in enumerate(pairs)}
+    row_head = [at[i, i + 1] for i, _ in pairs]
+    heads = [at[i, i + 1] for i in range(ell - 1)]
+    return tuple(itemgetter(*index) if ell > 2 else tuple
+                 for index in (row_head, [j - 1 for _, j in pairs], heads))
+
+
+def _tags(colours: tuple[int, ...], ell: int) -> set[PatternTag]:
+    """The pattern tags of a K_ell with these colours, listed row by row."""
+    by_row, by_column, row_heads = _heads(ell)
     tags: set[PatternTag] = set()
-    if len(set(all_colours)) == 1:
+    distinct = len(set(colours))
+    if distinct == 1:
         tags.add(PatternTag.MONOCHROMATIC)
-    if len(set(all_colours)) == len(all_colours):
+    if distinct == len(colours):
         tags.add(PatternTag.RAINBOW)
-
     # min pattern: the colour of {v_i, v_j} (i<j) may depend only on i
-    row_colours = []
-    rows_constant = True
-    for i in range(ell - 1):
-        row = [grid[i][j] for j in range(i + 1, ell)]
-        if len(set(row)) != 1:
-            rows_constant = False
-            break
-        row_colours.append(row[0])
-    if rows_constant:
+    if by_row(colours) == colours:
         tags.add(PatternTag.NON_STRICT_MIN)
-        if len(set(row_colours)) == len(row_colours):
+        if len(set(row_heads(colours))) == ell - 1:
             tags.add(PatternTag.MIN_COLOURED)
-
-    # max pattern: colour may depend only on j
-    col_colours = []
-    cols_constant = True
-    for j in range(1, ell):
-        col = [grid[i][j] for i in range(j)]
-        if len(set(col)) != 1:
-            cols_constant = False
-            break
-        col_colours.append(col[0])
-    if cols_constant:
+    # max pattern: colour may depend only on j; row 0 lists the column heads
+    if by_column(colours) == colours:
         tags.add(PatternTag.NON_STRICT_MAX)
-        if len(set(col_colours)) == len(col_colours):
+        if len(set(colours[:ell - 1])) == ell - 1:
             tags.add(PatternTag.MAX_COLOURED)
     return tags
+
+
+def _classify(colour_of: Callable[[int, int], int],
+              vertices: Sequence[int]) -> set[PatternTag]:
+    verts = tuple(vertices)
+    return _tags(_clique_colours(colour_of, verts), len(verts))
 
 
 def classify_copy(phi: EdgeColouring, vertices: Sequence[int]) -> set[PatternTag]:
@@ -284,19 +291,16 @@ def classify_copy(phi: EdgeColouring, vertices: Sequence[int]) -> set[PatternTag
     the min resp. max endpoints agree); the non-strict variants test only
     the backward implication.  Raises NotAClique if an edge is missing.
     """
-    return _classify(phi.get, vertices)
+    return _classify(phi.colour, vertices)
 
 
 def witness_for(phi: EdgeColouring, vertices: Sequence[int]) -> CanonicalWitness:
     """Package a clique tuple with its tags and edge-colour evidence."""
     verts = tuple(vertices)
-    tags = classify_copy(phi, verts)
-    evidence = tuple(
-        ((verts[i], verts[j]), phi.colour(verts[i], verts[j]))
-        for i in range(len(verts))
-        for j in range(i + 1, len(verts))
-    )
-    return CanonicalWitness(verts, frozenset(tags), evidence)
+    colours = _clique_colours(phi.colour, verts)
+    edges = [(u, w) for i, u in enumerate(verts) for w in verts[i + 1:]]
+    return CanonicalWitness(verts, frozenset(_tags(colours, len(verts))),
+                            tuple(zip(edges, colours)))
 
 
 def _colour_counts(phi: EdgeColouring, v: int, umask: int,

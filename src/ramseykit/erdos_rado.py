@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import lru_cache
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -146,45 +147,82 @@ def build_sequence(phi: EdgeColouring,
     as a BoundedSubsetSignal.
     """
     _require_complete(phi)
-    n, delta, matrix = phi.host.n, consts.delta, phi._matrix
-    # label phi(vw) by palette index, in colour order (the diagonal's -1 is
-    # label 0): colour + 1 up to n^2, else its dense rank, so that the keys
-    # below stay small whatever the ids
-    top = int(matrix.max())
-    if top <= n * n:
-        palette, labels = np.arange(-1, top + 1), matrix + 1
-    else:
-        palette, labels = np.unique(matrix, return_inverse=True)
-    # keys[v, w] = (v, label, w < v) in one int: it orders like (v, c, "<"
-    # before ">"), never collides across rows and decodes with divmod
-    span = 2 * len(palette)
+    return _sequence(phi, consts)
+
+
+@lru_cache(maxsize=4)
+def _key_base(n: int) -> np.ndarray:
+    """The read-only (n+1) x (n+1) base of the step keys on K_n.
+
+    The key of vw with label L, -1 <= L <= n^2, is 2 L + base[v, w], where
+    base[v, w] = v span + 2 + (w < v) and span = 2(n^2 + 2): keys order like
+    (v, L, "<" before ">"), never collide across rows and decode with
+    divmod.  Where L is -1, the diagonal's keys are -1 and those of row and
+    column 0 a sentinel (n + 1) span above every other key.
+    """
+    span = 2 * (n * n + 2)
     index = np.arange(n + 1)
-    keys = labels.reshape(matrix.shape) * 2 + index[:, None] * span
-    keys += index < index[:, None]
-    surviving = index[1:]
-    steps: list[SequenceStep] = []
-    trace: list[tuple[int, ...]] = []
-    for i in range(1, consts.length + 1):
-        s = len(surviving)
-        # the survivors' key block, the diagonal as -1 and a sentinel above
-        # them all, sorted: each run of equal keys is one (v, c, dir) degree
-        flat = np.empty(s * s + 1, dtype=np.int64)
-        flat[:-1].reshape(s, s)[...] = keys[1:, 1:] if i == 1 else keys[surviving[:, None], surviving]
-        flat[:-1:s + 1] = -1
-        flat[-1] = (n + 1) * span
-        flat.sort()
+    base = index[:, None] * span + (index < index[:, None]) + 2
+    base[0] = base[:, 0] = (n + 1) * span + 2
+    np.fill_diagonal(base, 1)
+    base.flags.writeable = False
+    return base
+
+
+def _steps(phi: EdgeColouring, delta: float) -> Iterator[tuple[Optional[SequenceStep], tuple[int, ...]]]:
+    """The steps of build_sequence, each with the survivors after it, then
+    (None, S) once no step qualifies on the surviving set S."""
+    n, matrix = phi.host.n, phi._matrix
+    # label phi(vw) in colour order, with -1 off the edges: by its colour
+    # up to n^2, else by its dense rank - 1, so palette[label + 1] is phi(vw)
+    palette, labels = None, matrix
+    if int(matrix.max()) > n * n:
+        palette, labels = np.unique(matrix, return_inverse=True)
+        labels = labels.reshape(matrix.shape) - 1
+    keys = labels * 2 + _key_base(n)
+    span = 2 * (n * n + 2)
+    block = np.arange(n + 1)  # 0, then the survivors
+    flat = np.sort(keys, axis=None)
+    while True:
+        # the block's keys sorted: the diagonal's -1s, then one run of equal
+        # keys per (v, c, dir) degree, then row and column 0's sentinels
+        s = len(block) - 1
         ends = (flat[1:] != flat[:-1]).nonzero()[0]
         counts = ends[1:] - ends[:-1]  # the runs after the diagonal's: none if s = 1
         best = counts.argmax() if s > 1 else None  # the first maximum has the smallest key
         if best is None or not counts[best] > delta * s / 2.0:
-            return BoundedSubsetSignal(tuple(surviving.tolist()), delta)
+            yield None, tuple(block[1:].tolist())
+            return
         key = int(flat[ends[best + 1]])
         v, rest = divmod(key, span)
-        steps.append(SequenceStep(v, int(palette[rest // 2]), ">" if rest % 2 else "<"))
-        surviving = surviving[keys[v, surviving] == key]
-        trace.append(tuple(surviving.tolist()))
+        colour = rest // 2 - 1 if palette is None else int(palette[rest // 2])
+        kept = keys[v].take(block) == key
+        kept[0] = True
+        block = block[kept]
+        yield SequenceStep(v, colour, ">" if rest % 2 else "<"), tuple(block[1:].tolist())
+        flat = np.sort(keys.take(block, 0).take(block, 1), axis=None)
+
+
+def _sequence(phi: EdgeColouring, consts: ErConstants,
+              ell: int = 0) -> Union[NeighbourhoodSequence, BoundedSubsetSignal, None]:
+    """build_sequence, or None as soon as fewer than ell vertices survive and
+    fewer than the steps left + 1.  Each step drops its own vertex and keeps
+    at least one, so the run can then only end in a bounded set of fewer
+    than ell vertices, which er_find hands to exhaustive search."""
+    n, delta = phi.host.n, consts.delta
+    steps: list[SequenceStep] = []
+    trace: list[tuple[int, ...]] = []
+    run = _steps(phi, delta)
+    while len(steps) < consts.length:
+        step, surviving = next(run)
+        if step is None:
+            return BoundedSubsetSignal(surviving, delta)
+        steps.append(step)
+        trace.append(surviving)
         # nested-neighbourhood size bound, relative to the original n
-        assert len(surviving) > (delta / 2.0) ** i * n
+        assert len(surviving) > (delta / 2.0) ** len(steps) * n
+        if len(surviving) < ell and len(surviving) <= consts.length - len(steps):
+            return None
     return NeighbourhoodSequence(tuple(steps), tuple(trace), delta, n, phi)
 
 
@@ -298,20 +336,26 @@ def rainbow_by_sampling(phi: EdgeColouring, us, ell: int, delta: float,
 def er_find(phi: EdgeColouring, ell: int, seed: int = 0) -> ErResult:
     """Run the full procedure and report which branch produced the witness.
 
-    Below the (astronomical) size where the quantitative bounds hold, both
-    branches may fail; exhaustive canonical search is then the fallback, and
-    NoWitness is raised only when that also finds nothing (tiny hosts such
-    as K_3 under a bad colouring).
+    The sequence branch is taken when build_sequence completes all
+    2(ell-2)^2 + 2 steps; extract_canonical then pigeonholes the witness.
+    Otherwise the colouring is delta-bounded on the surviving set, and the
+    sampling branch is taken when that set has at least ell vertices and
+    rainbow_by_sampling finds a rainbow K_ell on it.  Every other run ends
+    in exhaustive canonical search: below the (astronomical) size where the
+    quantitative bounds hold, both branches may fail.  The sequence is cut
+    short, straight to exhaustive search, once fewer than ell vertices
+    survive and too few are left to finish it, since neither branch can
+    then succeed.  NoWitness is raised only when exhaustive search also
+    finds nothing (tiny hosts such as K_3 under a bad colouring).
     """
     _require_complete(phi)
     if ell < 3:
         raise ValueError("ell must be >= 3")
-    consts = ErConstants.for_clique(ell)
-    outcome = build_sequence(phi, consts)
+    outcome = _sequence(phi, ErConstants.for_clique(ell), ell)
     if isinstance(outcome, NeighbourhoodSequence):
         witness = extract_canonical(outcome, ell)
         return ErResult(witness, "sequence", outcome)
-    if len(outcome.surviving) >= ell:
+    if outcome is not None and len(outcome.surviving) >= ell:
         witness = rainbow_by_sampling(phi, outcome.surviving, ell, outcome.delta, seed)
         if witness is not None:
             return ErResult(witness, "sampling", None)

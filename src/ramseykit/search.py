@@ -296,8 +296,8 @@ def canonical_arrow_exhaustive(graph: OrderedGraph, ell: int) -> ExhaustiveArrow
     cliques = [tuple(tup) for tup in enumerate_cliques(graph, ell)]
     assignment: dict[tuple[int, int], int] = {e: 0 for e in edges}
 
-    def lookup(u: int, v: int) -> Optional[int]:
-        return assignment.get((u, v))
+    def lookup(u: int, v: int) -> int:
+        return assignment[u, v]
 
     checked = 0
     for rgs in restricted_growth_strings(len(edges)):

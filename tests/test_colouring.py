@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ramseykit import (
     AdversarySpec,
+    CanonicalWitness,
     EdgeColouring,
     NotAClique,
     OrderedGraph,
@@ -33,6 +34,7 @@ from ramseykit import (
     witness_for,
     write_colouring,
 )
+from ramseykit.colouring import _classify
 
 
 def triangle(c12, c13, c23):
@@ -146,6 +148,90 @@ class TestClassify:
         if predicate(max, strict=True):
             expected.add(PatternTag.MAX_COLOURED)
         assert classify_copy(phi, verts) == expected
+
+
+def reference_classify(colour_of, vertices):
+    """The grid loops that _classify replaced, kept as its oracle: fill the
+    colour grid, then test each row and each column for one colour."""
+    verts = tuple(vertices)
+    if len(verts) < 2 or any(a >= b for a, b in zip(verts, verts[1:])):
+        raise ValueError(f"vertices must be strictly increasing, got {verts}")
+    ell = len(verts)
+    grid = [[0] * ell for _ in range(ell)]
+    all_colours = []
+    for i in range(ell):
+        for j in range(i + 1, ell):
+            c = colour_of(verts[i], verts[j])
+            if c is None:
+                raise NotAClique(f"edge ({verts[i]},{verts[j]}) absent")
+            grid[i][j] = c
+            all_colours.append(c)
+    tags = set()
+    if len(set(all_colours)) == 1:
+        tags.add(PatternTag.MONOCHROMATIC)
+    if len(set(all_colours)) == len(all_colours):
+        tags.add(PatternTag.RAINBOW)
+    rows = [[grid[i][j] for j in range(i + 1, ell)] for i in range(ell - 1)]
+    if all(len(set(row)) == 1 for row in rows):
+        tags.add(PatternTag.NON_STRICT_MIN)
+        if len({row[0] for row in rows}) == len(rows):
+            tags.add(PatternTag.MIN_COLOURED)
+    cols = [[grid[i][j] for i in range(j)] for j in range(1, ell)]
+    if all(len(set(col)) == 1 for col in cols):
+        tags.add(PatternTag.NON_STRICT_MAX)
+        if len({col[0] for col in cols}) == len(cols):
+            tags.add(PatternTag.MAX_COLOURED)
+    return tags
+
+
+def reference_witness_for(phi, vertices):
+    """witness_for as it was: classify, then read every edge again."""
+    verts = tuple(vertices)
+    tags = reference_classify(phi.get, verts)
+    evidence = tuple(((verts[i], verts[j]), phi.colour(verts[i], verts[j]))
+                     for i in range(len(verts)) for j in range(i + 1, len(verts)))
+    return CanonicalWitness(verts, frozenset(tags), evidence)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the contract error it raised."""
+    try:
+        return f(*args)
+    except (NotAClique, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestClassifyOracle:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("palette", [1, 2, 3, 4, None])  # None: every colour distinct
+    @pytest.mark.parametrize("complete", [True, False])
+    def test_matches_grid_loops(self, n, palette, complete):
+        vertices = range(1, n + 1)
+        # every increasing tuple of size 2..n, and tuples that break the
+        # contract: too short, not increasing, or with a vertex outside 1..n
+        tuples = [tup for k in range(2, n + 1) for tup in itertools.combinations(vertices, k)]
+        tuples += [(), (1,), (2, 1), (1, 1), (1, 3, 2), (0, 1), (1, n + 1), (-1, 1, 2),
+                   (1, 2, n + 1), tuple(range(n + 1)), tuple(range(1, n + 2))]
+        for seed in range(3):
+            host = OrderedGraph.complete(n) if complete else gnp_generate(n, 0.6, seed).graph
+            spec = (AdversarySpec("Injective") if palette is None
+                    else AdversarySpec("RandomR", r=palette, seed=seed))
+            phi = generate_colouring(host, spec)
+            by_edge = dict(phi.items())
+
+            def lookup(u, v):  # the arrow search's colour_of: an edge dict
+                return by_edge[u, v]
+
+            for tup in tuples:
+                want = outcome(reference_classify, phi.get, tup)
+                assert outcome(classify_copy, phi, tup) == want
+                assert outcome(_classify, lookup, tup) == outcome(
+                    reference_classify, lambda u, v: by_edge.get((u, v)), tup)
+                witness = outcome(witness_for, phi, tup)
+                assert witness == outcome(reference_witness_for, phi, tup)
+                if isinstance(witness, CanonicalWitness):
+                    assert witness.tags == want
+                    assert all(type(c) is int for _, c in witness.evidence)
 
 
 class TestColourDegrees:

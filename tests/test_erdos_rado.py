@@ -9,6 +9,7 @@ from ramseykit import (
     EdgeColouring,
     EmptyFinalSet,
     ErConstants,
+    ErResult,
     NeighbourhoodSequence,
     NoWitness,
     NotBounded,
@@ -22,10 +23,12 @@ from ramseykit import (
     classify_copy,
     er_find,
     extract_canonical,
+    find_canonical_copy,
     generate_colouring,
     rainbow_by_sampling,
     restricted_growth_strings,
 )
+from ramseykit.erdos_rado import _key_base, _sequence
 
 
 def mono_colouring(n, colour=0):
@@ -70,6 +73,36 @@ def reference_build_sequence(phi, consts):
         steps.append(SequenceStep(v, c, direction))
         trace.append(tuple(surviving))
     return NeighbourhoodSequence(tuple(steps), tuple(trace), delta, n, phi)
+
+
+def reference_er_find(phi, ell, seed=0):
+    """The er_find driver that ran the whole sequence before it chose a
+    branch, kept as its oracle."""
+    if ell < 3:
+        raise ValueError("ell must be >= 3")
+    outcome = build_sequence(phi, ErConstants.for_clique(ell))
+    if isinstance(outcome, NeighbourhoodSequence):
+        witness = extract_canonical(outcome, ell)
+        return ErResult(witness, "sequence", outcome)
+    if len(outcome.surviving) >= ell:
+        witness = rainbow_by_sampling(phi, outcome.surviving, ell, outcome.delta, seed)
+        if witness is not None:
+            return ErResult(witness, "sampling", None)
+    fallback = find_canonical_copy(phi, ell)
+    if fallback.found:
+        return ErResult(fallback.witness, "exhaustive", None)
+    raise NoWitness(f"no canonical K_{ell} under this colouring")
+
+
+def er_outcome(find, phi, ell, seed):
+    """The branch, witness and sequence of find(phi, ell, seed), or the
+    NoWitness message."""
+    try:
+        res = find(phi, ell, seed)
+    except NoWitness as exc:
+        return str(exc)
+    seq = res.sequence
+    return res.branch, res.witness, seq and (seq.steps, seq.survivors, seq.delta, seq.n)
 
 
 def assert_same_outcome(got, want):
@@ -179,6 +212,61 @@ class TestBuildSequenceOracle:
             (v, c, direction), survivors = want
             assert got.steps == (SequenceStep(v, c + shift, direction),)
             assert got.survivors == (survivors,)
+
+
+@st.composite
+def random_r_hosts(draw):
+    """K_n, 3 <= n <= 40, under RandomR with r in {1, 2, 5, n^2}, its ids
+    shifted to 2^62 and above (the dense-rank path) or not."""
+    n = draw(st.integers(3, 40))
+    host = OrderedGraph.complete(n)
+    r = draw(st.sampled_from([1, 2, 5, n * n]))
+    phi = generate_colouring(host, AdversarySpec("RandomR", r=r, seed=draw(st.integers(0, 2**32))))
+    if draw(st.booleans()):
+        phi = EdgeColouring._trusted(host, [c + 2**62 for _, c in phi.items()])
+    return phi
+
+
+class TestErFindOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(random_r_hosts(), st.sampled_from([3, 4, 5]), st.integers(0, 2**32))
+    def test_matches_full_sequence_driver(self, phi, ell, seed):
+        want = er_outcome(reference_er_find, phi, ell, seed)
+        assert er_outcome(er_find, phi, ell, seed) == want
+        if not isinstance(want, str):
+            assert all(type(v) is int for v in want[1].vertices)
+
+    @settings(max_examples=150, deadline=None)
+    @given(complete_colourings(), st.sampled_from([3, 4, 5]), st.integers(0, 2**32))
+    def test_matches_full_sequence_driver_on_any_ids(self, coloured, ell, seed):
+        host, colours = coloured
+        phi = EdgeColouring._trusted(host, colours)
+        assert er_outcome(er_find, phi, ell, seed) == er_outcome(reference_er_find, phi, ell, seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_k30_r435_stops_early(self, seed):
+        # the sequence cannot reach 4 steps, and what survives is below 3
+        # vertices, so the run goes to exhaustive search before it ends
+        phi = generate_colouring(OrderedGraph.complete(30), AdversarySpec("RandomR", r=435, seed=seed))
+        consts = ErConstants.for_clique(3)
+        full = build_sequence(phi, consts)
+        assert isinstance(full, BoundedSubsetSignal) and len(full.surviving) < 3
+        assert _sequence(phi, consts, 3) is None
+        got = er_outcome(er_find, phi, 3, seed)
+        assert got[0] == "exhaustive"
+        assert got == er_outcome(reference_er_find, phi, 3, seed)
+
+    def test_key_base_is_read_only(self):
+        base = _key_base(4)
+        assert _key_base(4) is base
+        with pytest.raises(ValueError):
+            base[1, 2] = 0
+
+    @pytest.mark.parametrize("n", [215, 216])
+    def test_injective_sampling_boundary(self, n):
+        phi = generate_colouring(OrderedGraph.complete(n), AdversarySpec("Injective"))
+        for seed in (0, 7):
+            assert er_outcome(er_find, phi, 3, seed) == er_outcome(reference_er_find, phi, 3, seed)
 
 
 class TestConstants:

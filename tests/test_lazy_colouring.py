@@ -10,6 +10,7 @@ import pickle
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -127,7 +128,7 @@ class TestLazyGreedy:
                     assert phi._rows[u] == matrix[u].tolist()
                     deepest = max(deepest, u)
                 continue
-            if u >= 0 and v >= 0:
+            if 1 <= u <= n and 1 <= v <= n:
                 deepest = max(deepest, u)  # get and colour read row u
             if op == "get":
                 assert phi.get(u, v) == eager.get(u, v)
@@ -162,6 +163,15 @@ class TestLazyGreedy:
         for v in range(graph.n - 1, 0, -1):
             assert phi._rows[v] == matrix[v].tolist()
         assert np.array_equal(phi._matrix, matrix)
+
+    def test_vertex_outside_host_reads_no_row(self):
+        graph = gnp_generate(60, 0.3, 1).graph
+        phi = lazy_greedy(graph)
+        for u, v in [(61, 2), (2, 61), (0, 2), (2, 0), (-1, 2), (2, -1)]:
+            assert phi.get(u, v) is None
+            with pytest.raises(KeyError):
+                phi.colour(u, v)
+        assert phi._rows.filled == 0 and not phi._rows
 
     def test_eager_colourings_have_no_source(self):
         graph = gnp_generate(12, 0.5, 1).graph

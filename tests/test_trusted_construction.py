@@ -97,14 +97,19 @@ def test_adversary_matches_validated_colouring(kind, n, p):
 
 
 # greedy colours K_70 and K_130 up to colours 126 and 254, past the first
-# and second 64-bit word of a colour set
+# and second 64-bit word of a colour set; on K_n with n = 2^k + 1 it uses
+# colour 2n - 4 = 2 Delta - 2, the most any greedy colouring on n vertices
+# can use, so the bit table is read at its top
 @pytest.mark.parametrize("n,p,seed", [(9, 1.0, 0), (30, 0.4, 1), (80, 0.25, 2), (120, 0.1, 3),
-                                      (70, 1.0, 0), (130, 1.0, 0)])
+                                      (70, 1.0, 0), (130, 1.0, 0),
+                                      (5, 1.0, 0), (17, 1.0, 0), (65, 1.0, 0), (129, 1.0, 0)])
 def test_greedy_proper_matches_set_reference(n, p, seed):
     graph = gnp_generate(n, p, seed).graph
     phi = generate_colouring(graph, AdversarySpec("GreedyProper"))
     assert dict(phi.items()) == greedy_reference(graph)
     assert verify_properness(phi)
+    if p == 1.0 and (n - 1) & (n - 2) == 0:
+        assert max(phi.colours()) == 2 * n - 4
 
 
 @pytest.mark.parametrize("ell", (4, 5))
