@@ -7,7 +7,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .colouring import EdgeColouring, _max_colour_degree
+from .colouring import EdgeColouring, _max_degrees
 from .graphs import OrderedGraph, _bit_table
 
 __all__ = [
@@ -173,7 +173,5 @@ def verify_properness(phi: EdgeColouring) -> bool:
 
 def max_colour_multiplicity(phi: EdgeColouring) -> int:
     """max over vertices v and colours c of the colour degree d_c(v, V)."""
-    host = phi.host
     phi._rows.drain()  # colour a lazy source in one pass, not one slice per row
-    return max((_max_colour_degree(phi, v, host.vertex_bitmask) for v in host.vertices),
-               default=0)
+    return max(degree for _, degree in _max_degrees(phi, None)[1])

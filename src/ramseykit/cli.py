@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--ell", type=_int_at_least(3), required=True)
     p_demo.add_argument("--adversary", type=_adversary, required=True,
                         help='JSON, e.g. \'{"kind": "MinOrder"}\' or \'{"kind": "RandomR", "r": 5, "seed": 3}\'')
-    p_demo.add_argument("--seed", type=int, default=0)
+    p_demo.add_argument("--seed", type=_int_at_least(0), default=0)
     p_demo.set_defaults(func=_cmd_er_demo)
 
     p_sweep = sub.add_parser("sweep", help="run a Monte Carlo threshold sweep from a JSON config")

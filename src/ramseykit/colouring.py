@@ -8,6 +8,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from operator import ge, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -227,19 +228,16 @@ class CanonicalWitness:
         return bool(self.tags & STRICT_TAGS)
 
 
-def _clique_colours(colour_of: Callable[[int, int], int],
-                    verts: tuple[int, ...]) -> tuple[int, ...]:
-    """The colours of the clique's edges (v_i, v_j), i < j, row by row;
-    ``colour_of`` raises KeyError on a non-edge."""
+def _clique_colours(phi: EdgeColouring, verts: tuple[int, ...]) -> tuple[int, ...]:
+    """The colours of the clique's edges (v_i, v_j), i < j, row by row."""
     if len(verts) < 2 or any(map(ge, verts, verts[1:])):
         raise ValueError(f"vertices must be strictly increasing, got {verts}")
     colours = []
-    for i, u in enumerate(verts):
-        for w in verts[i + 1:]:
-            try:
-                colours.append(colour_of(u, w))
-            except KeyError:
-                raise NotAClique(f"edge ({u},{w}) absent") from None
+    for u, w in combinations(verts, 2):
+        try:
+            colours.append(phi.colour(u, w))
+        except KeyError:
+            raise NotAClique(f"edge ({u},{w}) absent") from None
     return tuple(colours)
 
 
@@ -278,12 +276,6 @@ def _tags(colours: tuple[int, ...], ell: int) -> set[PatternTag]:
     return tags
 
 
-def _classify(colour_of: Callable[[int, int], int],
-              vertices: Sequence[int]) -> set[PatternTag]:
-    verts = tuple(vertices)
-    return _tags(_clique_colours(colour_of, verts), len(verts))
-
-
 def classify_copy(phi: EdgeColouring, vertices: Sequence[int]) -> set[PatternTag]:
     """All pattern tags realised by the given increasing clique tuple.
 
@@ -291,16 +283,16 @@ def classify_copy(phi: EdgeColouring, vertices: Sequence[int]) -> set[PatternTag
     the min resp. max endpoints agree); the non-strict variants test only
     the backward implication.  Raises NotAClique if an edge is missing.
     """
-    return _classify(phi.colour, vertices)
+    verts = tuple(vertices)
+    return _tags(_clique_colours(phi, verts), len(verts))
 
 
 def witness_for(phi: EdgeColouring, vertices: Sequence[int]) -> CanonicalWitness:
     """Package a clique tuple with its tags and edge-colour evidence."""
     verts = tuple(vertices)
-    colours = _clique_colours(phi.colour, verts)
-    edges = [(u, w) for i, u in enumerate(verts) for w in verts[i + 1:]]
+    colours = _clique_colours(phi, verts)
     return CanonicalWitness(verts, frozenset(_tags(colours, len(verts))),
-                            tuple(zip(edges, colours)))
+                            tuple(zip(combinations(verts, 2), colours)))
 
 
 def _colour_counts(phi: EdgeColouring, v: int, umask: int,
@@ -323,10 +315,16 @@ def _colour_counts(phi: EdgeColouring, v: int, umask: int,
     return Counter(row[w] for w in bits(rest))
 
 
-def _max_colour_degree(phi: EdgeColouring, v: int, umask: int,
-                       direction: Optional[str] = None) -> int:
-    """max_c d_c(v, U) (0 when v has no neighbour in U)."""
-    return max(_colour_counts(phi, v, umask, direction).values(), default=0)
+def _max_degrees(phi: EdgeColouring, us: Optional[Iterable[int]],
+                 direction: Optional[str] = None) -> tuple[int, Iterator[tuple[int, int]]]:
+    """|U| and, for each u in U in increasing order, (u, max_c d_c(u, U)),
+    the maximum 0 when u has no neighbour in U; U defaults to every vertex."""
+    umask = vertex_mask(phi.host, us)
+    if not umask:
+        raise ValueError("U must be nonempty")
+    degrees = ((u, max(_colour_counts(phi, u, umask, direction).values(), default=0))
+               for u in bits(umask))
+    return umask.bit_count(), degrees
 
 
 def colour_degree(phi: EdgeColouring, v: int, us: Iterable[int], c: int) -> int:
@@ -343,11 +341,9 @@ def directed_colour_degree(phi: EdgeColouring, v: int, us: Iterable[int],
 def is_delta_p_bounded(phi: EdgeColouring, us: Iterable[int],
                        delta: float, p: float) -> bool:
     """Every colour degree into U stays <= delta * p * |U|, for every u in U."""
-    umask = vertex_mask(phi.host, us)
-    if not umask:
-        raise ValueError("U must be nonempty")
-    cap = delta * p * umask.bit_count()
-    return all(_max_colour_degree(phi, u, umask) <= cap for u in bits(umask))
+    size, degrees = _max_degrees(phi, us)
+    cap = delta * p * size
+    return all(degree <= cap for _, degree in degrees)
 
 
 def unbounded_condition_holds(phi: EdgeColouring, us: Iterable[int],
@@ -364,26 +360,20 @@ def unbounded_condition_holds(phi: EdgeColouring, us: Iterable[int],
 def unbounded_vertices(phi: EdgeColouring, us: Iterable[int], delta: float,
                        p: float, direction: str) -> tuple[int, ...]:
     """The set of u in U with some directed colour degree >= 4 * delta * p * |U|."""
-    umask = vertex_mask(phi.host, us)
-    if not umask:
-        raise ValueError("U must be nonempty")
-    threshold = 4.0 * delta * p * umask.bit_count()
-    return tuple(u for u in bits(umask)
-                 if _max_colour_degree(phi, u, umask, direction) >= threshold)
+    size, degrees = _max_degrees(phi, us, direction)
+    threshold = 4.0 * delta * p * size
+    return tuple(u for u, degree in degrees if degree >= threshold)
 
 
 def bounded_side_split(phi: EdgeColouring, us: Iterable[int], delta: float,
                        p: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Partition U into its unbounded part B(U) (some colour degree
     >= 8 * delta * p * |U|) and the bounded remainder U'."""
-    umask = vertex_mask(phi.host, us)
-    if not umask:
-        raise ValueError("U must be nonempty")
-    threshold = 8.0 * delta * p * umask.bit_count()
+    size, degrees = _max_degrees(phi, us)
+    threshold = 8.0 * delta * p * size
     unbounded, rest = [], []
-    for u in bits(umask):
-        side = unbounded if _max_colour_degree(phi, u, umask) >= threshold else rest
-        side.append(u)
+    for u, degree in degrees:
+        (unbounded if degree >= threshold else rest).append(u)
     return tuple(unbounded), tuple(rest)
 
 

@@ -463,7 +463,10 @@ def degree_lemma_check(f: WeightedGraph, g: WeightedGraph, us: Iterable[int],
     Hypotheses checked: |U| > 2 eps^(1/3) n, and (when the exact guard
     permits and ``verify_cutnorm`` is set) ||f - g||_cut <= eps.  The
     returned count is at most eps^(1/3) n whenever the hypotheses hold.
+    A negative or non-finite eps is refused with ValueError.
     """
+    if _finite("eps", eps) < 0:
+        raise ValueError(f"eps must be >= 0, got {eps!r}")
     f._check_compatible(g)
     n = f.n
     ui = _indices(n, us)

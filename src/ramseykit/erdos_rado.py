@@ -21,10 +21,9 @@ from .colouring import (
     CanonicalWitness,
     EdgeColouring,
     PatternTag,
-    _max_colour_degree,
+    _max_degrees,
     witness_for,
 )
-from .graphs import vertex_mask
 from .search import SearchOutcome, find_canonical_copy
 
 __all__ = [
@@ -249,10 +248,9 @@ def extract_canonical(seq: NeighbourhoodSequence, ell: int) -> CanonicalWitness:
     picked = by_dir[direction][:take]
     apex = min(final)
 
-    colours = [seq.steps[i].colour for i in picked]
-    multiplicity: dict[int, list[int]] = {}
-    for idx, c in zip(picked, colours):
-        multiplicity.setdefault(c, []).append(idx)
+    multiplicity: dict[int, list[int]] = {}  # the picked steps by colour, in first-seen order
+    for idx in picked:
+        multiplicity.setdefault(seq.steps[idx].colour, []).append(idx)
 
     mono_colour = next((c for c, idxs in multiplicity.items()
                         if len(idxs) >= ell - 1), None)
@@ -260,15 +258,7 @@ def extract_canonical(seq: NeighbourhoodSequence, ell: int) -> CanonicalWitness:
         chosen = multiplicity[mono_colour][: ell - 1]
         claimed = PatternTag.MONOCHROMATIC
     else:
-        chosen = []
-        seen: set[int] = set()
-        for idx in picked:
-            c = seq.steps[idx].colour
-            if c not in seen:
-                seen.add(c)
-                chosen.append(idx)
-            if len(chosen) == ell - 1:
-                break
+        chosen = [idxs[0] for idxs in multiplicity.values()][: ell - 1]
         if len(chosen) < ell - 1:
             # <= ell-2 repeats per colour over (ell-2)^2+1 steps forces this
             raise SequenceTooShort("fewer distinct colours than the pigeonhole promises")
@@ -307,12 +297,9 @@ def rainbow_by_sampling(phi: EdgeColouring, us, ell: int, delta: float,
     """
     _require_complete(phi)
     u_sorted = tuple(sorted(set(us)))
-    if not u_sorted:
-        raise ValueError("U must be nonempty")
-    umask = vertex_mask(phi.host, u_sorted)
-    cap = delta * len(u_sorted)
-    for v in u_sorted:
-        degree = _max_colour_degree(phi, v, umask)
+    size, degrees = _max_degrees(phi, u_sorted)
+    cap = delta * size
+    for v, degree in degrees:
         if degree > cap:
             raise NotBounded(f"colour degree {degree} at vertex {v} exceeds delta|U| = {cap}")
     keep_p = min(1.0, 2.0 * ell / len(u_sorted))

@@ -5,16 +5,16 @@ certification for tiny graphs via set-partition enumeration."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
-
-import numpy as np
 
 from .colouring import (
     STRICT_TAGS,
     CanonicalWitness,
     EdgeColouring,
     PatternTag,
-    _classify,
+    _tags,
     witness_for,
 )
 from .graphs import OrderedGraph, _extend_cliques, bits, enumerate_cliques, vertex_mask
@@ -101,12 +101,12 @@ def find_canonical_copy(phi: EdgeColouring, ell: int,
     tag: monochromatic, rainbow, min-coloured, or max-coloured."""
     if ell < 3:
         raise ValueError("ell must be >= 3")
+    rows = phi._rows
     nodes = 0
     for tup in enumerate_cliques(phi.host, ell, within):
         nodes += 1
-        witness = witness_for(phi, tup)
-        if witness.is_canonical():
-            return SearchOutcome(True, witness, nodes)
+        if _tags(tuple(rows[u][w] for u, w in combinations(tup, 2)), ell) & STRICT_TAGS:
+            return SearchOutcome(True, witness_for(phi, tup), nodes)
     return SearchOutcome(False, None, nodes)
 
 
@@ -150,6 +150,15 @@ def find_rainbow_copy(phi: EdgeColouring, ell: int,
     return SearchOutcome(True, witness, nodes)
 
 
+def _clique_edges(graph: OrderedGraph, ell: int) -> list[list[int]]:
+    """Each K_ell of the graph, in lexicographic order, as the positions in
+    ``graph.edges`` of its edges (v_i, v_j), i < j, row by row, which is
+    edge order."""
+    at = {edge: k for k, edge in enumerate(graph.edges)}
+    return [[at[edge] for edge in combinations(tup, 2)]
+            for tup in enumerate_cliques(graph, ell)]
+
+
 def arrows_mono(graph: OrderedGraph, query: ArrowQuery,
                 budget: int = DEFAULT_NODE_BUDGET) -> ArrowOutcome:
     """Decide whether every r-colouring of the edges yields a monochromatic
@@ -163,17 +172,11 @@ def arrows_mono(graph: OrderedGraph, query: ArrowQuery,
     raises ResourceLimitError rather than guessing.
     """
     m = graph.edge_count
-    cliques = [tuple(tup) for tup in enumerate_cliques(graph, query.ell)]
-    if not cliques:
+    clique_edges = _clique_edges(graph, query.ell)
+    if not clique_edges:
         witness = EdgeColouring._trusted(graph, [0] * m)
         return ArrowOutcome(False, witness, 0)
 
-    # each clique's edges as positions in graph.edges, in edge order
-    edge_index = np.zeros((graph.n + 1, graph.n + 1), dtype=np.intp)
-    edge_index[graph._us, graph._vs] = np.arange(m)
-    a, b = np.triu_indices(query.ell, k=1)
-    ends = np.array(cliques)
-    clique_edges: list[list[int]] = edge_index[ends[:, a], ends[:, b]].tolist()
     edge_cliques: list[list[int]] = [[] for _ in range(m)]
     for k, idxs in enumerate(clique_edges):
         for e in idxs:
@@ -290,25 +293,12 @@ def canonical_arrow_exhaustive(graph: OrderedGraph, ell: int) -> ExhaustiveArrow
     """
     if ell < 3:
         raise ValueError("ell must be >= 3")
-    edges = graph.edges
-    if len(edges) > _EXHAUSTIVE_EDGE_GUARD:
-        raise TooManyEdges(f"{len(edges)} edges exceeds the guard of {_EXHAUSTIVE_EDGE_GUARD}")
-    cliques = [tuple(tup) for tup in enumerate_cliques(graph, ell)]
-    assignment: dict[tuple[int, int], int] = {e: 0 for e in edges}
-
-    def lookup(u: int, v: int) -> int:
-        return assignment[u, v]
-
-    checked = 0
-    for rgs in restricted_growth_strings(len(edges)):
-        checked += 1
-        for e, c in zip(edges, rgs):
-            assignment[e] = c
-        hit = any(
-            _classify(lookup, tup) & STRICT_TAGS
-            for tup in cliques
-        )
-        if not hit:
-            counterexample = EdgeColouring._trusted(graph, rgs)
-            return ExhaustiveArrowOutcome(False, checked, counterexample)
+    m = graph.edge_count
+    if m > _EXHAUSTIVE_EDGE_GUARD:
+        raise TooManyEdges(f"{m} edges exceeds the guard of {_EXHAUSTIVE_EDGE_GUARD}")
+    # each clique's colours, row by row, read off a string of edge colours
+    getters = [itemgetter(*idxs) for idxs in _clique_edges(graph, ell)]
+    for checked, rgs in enumerate(restricted_growth_strings(m), 1):  # at least one string
+        if not any(_tags(get(rgs), ell) & STRICT_TAGS for get in getters):
+            return ExhaustiveArrowOutcome(False, checked, EdgeColouring._trusted(graph, rgs))
     return ExhaustiveArrowOutcome(True, checked, None)

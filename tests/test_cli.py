@@ -140,6 +140,10 @@ MIN_ORDER = '{"kind": "MinOrder"}'
     (["arrow", "--graph", "g", "--ell", "3", "--colours", "2", "--budget", "0"], "--budget"),
     (["sweep", "--config", "c", "--out", "o", "--threads", "0"], "--threads"),
     (["sweep", "--config", "c", "--out", "o", "--threads", "-3"], "--threads"),
+    # a negative seed: on the sampling branch (n = 216, Injective) and on another
+    (["er-demo", "--n", "5", "--ell", "3", "--adversary", MIN_ORDER, "--seed", "-1"], "--seed"),
+    (["er-demo", "--n", "216", "--ell", "3", "--adversary", '{"kind": "Injective"}',
+      "--seed", "-1"], "--seed"),
 ])
 def test_bad_argument_exits_2_naming_the_flag(argv, flag, capsys):
     # checked at parse time, before any file is read

@@ -1,4 +1,7 @@
 import itertools
+import math
+from collections import Counter
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -25,16 +28,19 @@ from ramseykit import (
     gnp_generate,
     greedy_colour_partition,
     is_delta_p_bounded,
+    max_colour_multiplicity,
     nonrainbow_cherry_count,
     nonrainbow_matching_count,
     pair_density,
+    rainbow_by_sampling,
     read_colouring,
     unbounded_condition_holds,
     unbounded_vertices,
     witness_for,
     write_colouring,
 )
-from ramseykit.colouring import _classify
+from ramseykit.colouring import _tags
+from ramseykit.search import _clique_edges
 
 
 def triangle(c12, c13, c23):
@@ -218,15 +224,19 @@ class TestClassifyOracle:
                     else AdversarySpec("RandomR", r=palette, seed=seed))
             phi = generate_colouring(host, spec)
             by_edge = dict(phi.items())
-
-            def lookup(u, v):  # the arrow search's colour_of: an edge dict
-                return by_edge[u, v]
-
+            colours = list(by_edge.values())  # in edge order, as the arrow search's strings
+            # the exhaustive arrow search reads each K_k's colours off the
+            # edge-colour string through one itemgetter over its edge positions
+            for k in range(3, n + 1):
+                cliques = list(enumerate_cliques(host, k))
+                positions = _clique_edges(host, k)
+                assert len(positions) == len(cliques)
+                for tup, idxs in zip(cliques, positions):
+                    assert _tags(itemgetter(*idxs)(colours), k) == reference_classify(
+                        lambda u, v: by_edge.get((u, v)), tup)
             for tup in tuples:
                 want = outcome(reference_classify, phi.get, tup)
                 assert outcome(classify_copy, phi, tup) == want
-                assert outcome(_classify, lookup, tup) == outcome(
-                    reference_classify, lambda u, v: by_edge.get((u, v)), tup)
                 witness = outcome(witness_for, phi, tup)
                 assert witness == outcome(reference_witness_for, phi, tup)
                 if isinstance(witness, CanonicalWitness):
@@ -358,6 +368,68 @@ class TestBoundedness:
         assert b == tuple(expected_b)
         assert set(b) | set(rest) == set(range(1, 13))
         assert not set(b) & set(rest)
+
+
+def brute_max_degrees(phi, us, direction=None):
+    """max_c d_c(u, U) for each u in U, from a Counter over every coloured edge."""
+    counts = {u: Counter() for u in us}
+    for (a, b), c in phi.items():
+        if a in counts and b in counts:
+            if direction != ">":  # a < b: b lies above a
+                counts[a][c] += 1
+            if direction != "<":
+                counts[b][c] += 1
+    return {u: max(counter.values(), default=0) for u, counter in sorted(counts.items())}
+
+
+class TestColourDegreeOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 9), st.sampled_from([0.3, 0.6, 1.0]), st.integers(0, 10**6),
+           st.sampled_from([("RandomR", 1), ("RandomR", 2), ("RandomR", 4), ("GreedyProper", None)]),
+           st.integers(1, 2**9 - 1), st.floats(0.0, 1.0), st.sampled_from([0.25, 0.5, 1.0]))
+    def test_matches_brute_force(self, n, gp, seed, adversary, umask, delta, p):
+        kind, r = adversary
+        host = gnp_generate(n, gp, seed).graph
+        us = [v for v in host.vertices if umask >> (v - 1) & 1] or [1]
+
+        def coloured():  # a fresh colouring: GreedyProper's is coloured as read
+            return generate_colouring(host, AdversarySpec(kind, r=r, seed=seed))
+
+        size = len(us)
+        best = brute_max_degrees(coloured(), us)
+        assert is_delta_p_bounded(coloured(), us, delta, p) == all(
+            d <= delta * p * size for d in best.values())
+        for direction in "<>":
+            directed = brute_max_degrees(coloured(), us, direction)
+            assert unbounded_vertices(coloured(), us, delta, p, direction) == tuple(
+                u for u, d in directed.items() if d >= 4.0 * delta * p * size)
+        unbounded = tuple(u for u, d in best.items() if d >= 8.0 * delta * p * size)
+        rest = tuple(u for u in best if u not in unbounded)
+        assert bounded_side_split(coloured(), us, delta, p) == (unbounded, rest)
+        assert unbounded_condition_holds(coloured(), us, delta, p) == (len(unbounded) >= len(rest))
+        everyone = brute_max_degrees(coloured(), host.vertices)
+        assert max_colour_multiplicity(coloured()) == max(everyone.values())
+
+    def test_nan_delta_puts_every_vertex_on_the_bounded_side(self):
+        # every comparison with NaN is false, so no vertex reaches a threshold
+        # and none stays under a cap
+        phi = generate_colouring(OrderedGraph.complete(6), AdversarySpec("RandomR", r=2, seed=1))
+        us = range(1, 7)
+        assert bounded_side_split(phi, us, math.nan, 1.0) == ((), tuple(us))
+        assert not unbounded_condition_holds(phi, us, math.nan, 1.0)
+        assert unbounded_vertices(phi, us, math.nan, 1.0, "<") == ()
+        assert unbounded_vertices(phi, us, math.nan, 1.0, ">") == ()
+        assert not is_delta_p_bounded(phi, us, math.nan, 1.0)
+
+    @pytest.mark.parametrize("f", [
+        is_delta_p_bounded, bounded_side_split, unbounded_condition_holds,
+        lambda phi, us, delta, p: unbounded_vertices(phi, us, delta, p, "<"),
+        lambda phi, us, delta, p: rainbow_by_sampling(phi, us, 3, delta, 0),
+    ])
+    def test_empty_set_refused(self, f):
+        phi = generate_colouring(OrderedGraph.complete(4), AdversarySpec("Injective"))
+        with pytest.raises(ValueError, match="U must be nonempty"):
+            f(phi, [], 0.1, 1.0)
 
 
 def brute_cherry(phi, classes):

@@ -509,6 +509,17 @@ class TestDegreeLemma:
         with pytest.raises(HypothesisViolated):
             degree_lemma_check(f, g, range(1, 13), eps=1e-6)
 
+    @pytest.mark.parametrize("eps, message", [(-0.1, "eps must be >= 0"),
+                                              (float("nan"), "eps must be finite")])
+    def test_negative_or_nan_eps_refused(self, eps, message):
+        # eps^(1/3) is complex below 0, and NaN compares false with every
+        # cut norm, so either would skip or break the hypothesis checks
+        f, g = WeightedGraph.constant(6, 0.5), WeightedGraph.constant(6, 0.4)
+        with pytest.raises(HypothesisViolated):
+            degree_lemma_check(f, g, range(1, 7), eps=0.01)
+        with pytest.raises(ValueError, match=message):
+            degree_lemma_check(f, g, range(1, 7), eps=eps)
+
 
 class TestTwoDensity:
     def test_triangle(self):

@@ -20,7 +20,10 @@ from ramseykit import (
     generate_colouring,
     gnp_generate,
     restricted_growth_strings,
+    witness_for,
 )
+from ramseykit.colouring import _tags
+from ramseykit.search import ExhaustiveArrowOutcome, SearchOutcome
 
 
 def brute_arrows(graph, ell, r):
@@ -82,6 +85,35 @@ class TestFindCanonical:
         out = find_canonical_copy(phi, 3, within=[4, 5, 6])
         assert out.found
         assert set(out.witness.vertices) <= {4, 5, 6}
+
+
+def reference_find_canonical_copy(phi, ell, within=None):
+    """find_canonical_copy as it was: one witness per clique."""
+    nodes = 0
+    for tup in enumerate_cliques(phi.host, ell, within):
+        nodes += 1
+        witness = witness_for(phi, tup)
+        if witness.is_canonical():
+            return SearchOutcome(True, witness, nodes)
+    return SearchOutcome(False, None, nodes)
+
+
+class TestFindCanonicalReference:
+    @pytest.mark.parametrize("spec", [AdversarySpec("RandomR", r=1), AdversarySpec("RandomR", r=2),
+                                      AdversarySpec("RandomR", r=3), AdversarySpec("GreedyProper")],
+                             ids=["r1", "r2", "r3", "greedy"])
+    def test_matches_one_witness_per_clique(self, spec):
+        for seed in range(30):
+            n, ell = 8 + seed % 10, 3 + seed % 2
+            g = gnp_generate(n, 0.6, seed).graph
+            within = None if seed % 3 else range(2, n, 2)
+            phis = [generate_colouring(g, spec.with_seed(seed)) for _ in range(2)]
+            got = find_canonical_copy(phis[0], ell, within)
+            assert got == reference_find_canonical_copy(phis[1], ell, within)
+            # the same rows are read, so a lazy colouring is coloured as far
+            assert set(phis[0]._rows) == set(phis[1]._rows)
+            if spec.kind == "GreedyProper":
+                assert phis[0]._rows.filled == phis[1]._rows.filled
 
 
 class TestFindRainbow:
@@ -188,7 +220,43 @@ class TestRestrictedGrowth:
         assert len(seen) == BELL[5]
 
 
+def reference_canonical_arrow_exhaustive(graph, ell):
+    """canonical_arrow_exhaustive as it was: an edge dict rewritten for
+    every partition and read through a lookup per clique edge."""
+    edges = graph.edges
+    cliques = [tuple(tup) for tup in enumerate_cliques(graph, ell)]
+    assignment = {e: 0 for e in edges}
+
+    def lookup(u, v):
+        return assignment[u, v]
+
+    checked = 0
+    for rgs in restricted_growth_strings(len(edges)):
+        checked += 1
+        for e, c in zip(edges, rgs):
+            assignment[e] = c
+        hit = any(
+            _tags(tuple(lookup(u, w) for u, w in itertools.combinations(tup, 2)), ell)
+            & STRICT_TAGS
+            for tup in cliques
+        )
+        if not hit:
+            counterexample = EdgeColouring._trusted(graph, rgs)
+            return ExhaustiveArrowOutcome(False, checked, counterexample)
+    return ExhaustiveArrowOutcome(True, checked, None)
+
+
 class TestCanonicalArrowExhaustive:
+    @pytest.mark.parametrize("ell", [3, 4])
+    @pytest.mark.parametrize("n, p", [(4, 0.7), (5, 0.7), (5, 0.9), (6, 0.5), (7, 0.4)])
+    def test_matches_per_partition_dict(self, n, p, ell):
+        # up to 10 edges: arrows that hold (every one of Bell(10) = 115975
+        # partitions checked) and counterexamples found early or late
+        for seed in range(5):
+            g = gnp_generate(n, p, seed).graph
+            if g.edge_count <= 10:
+                assert (canonical_arrow_exhaustive(g, ell)
+                        == reference_canonical_arrow_exhaustive(g, ell))
     def test_k4_arrows_triangle(self):
         out = canonical_arrow_exhaustive(OrderedGraph.complete(4), 3)
         assert out.holds
