@@ -384,29 +384,49 @@ class TestCleanSubgraph:
             g = gnp_generate(n, p, seed).graph
             assert clean_subgraph(g, 4) == brute_clean(g, 4), f"seed {seed}"
 
-    # sha256 of the cleaned edge tuples at seeds 0-2, per criterion-07 cell
-    # (ell = 4, p = C n^(-2/5)): the order in which the scan walks a common
-    # neighbourhood must not change which edges it removes, and brute_clean
-    # cannot reach n = 120
+    # sha256 of the cleaned edge tuples at seeds 0-2, per (ell, criterion-07
+    # cell) at p = C n^(-2/(ell+1)): the order in which the scan walks a
+    # common neighbourhood must not change which edges it removes, and
+    # brute_clean cannot reach n = 120
     CELL_DIGESTS = {
-        (60, 0.3): "fba10a3d9fccbef2",
-        (60, 0.6): "f9e78fb475f3ff4e",
-        (60, 1.0): "2569ceb3408e7078",
-        (60, 1.5): "3a59c1c6f166011f",
-        (60, 2.5): "0dae6bc29a8a6665",
-        (120, 0.3): "51563b0537d49b32",
-        (120, 0.6): "866a80199cd5557d",
-        (120, 1.0): "3c61d092daf36c30",
-        (120, 1.5): "dee9a4a1acc4619d",
-        (120, 2.5): "e2de833ae90f3311",
+        (4, 60, 0.3): "fba10a3d9fccbef2",
+        (4, 60, 0.6): "f9e78fb475f3ff4e",
+        (4, 60, 1.0): "2569ceb3408e7078",
+        (4, 60, 1.5): "3a59c1c6f166011f",
+        (4, 60, 2.5): "0dae6bc29a8a6665",
+        (4, 120, 0.3): "51563b0537d49b32",
+        (4, 120, 0.6): "866a80199cd5557d",
+        (4, 120, 1.0): "3c61d092daf36c30",
+        (4, 120, 1.5): "dee9a4a1acc4619d",
+        (4, 120, 2.5): "e2de833ae90f3311",
+        (5, 60, 0.3): "bb88d13dc11bc82d",
+        (5, 60, 0.6): "f24dd75627a63adc",
+        (5, 60, 1.0): "bb7928a293faf5c0",
+        (5, 60, 1.5): "7852037e7efd62ad",
+        (5, 60, 2.5): "cceb930a73ee1178",
+        (5, 120, 0.3): "c301de6c2adf5e23",
+        (5, 120, 0.6): "6177bfef0f5ff061",
+        (5, 120, 1.0): "9cdbdd97adf3d2cc",
+        (5, 120, 1.5): "d7d14594cf87dc06",
+        (5, 120, 2.5): "79e46fb393c179f4",
+        (6, 60, 0.3): "adefdec5e474b9db",
+        (6, 60, 0.6): "e278b4c45b01e79a",
+        (6, 60, 1.0): "7062cd8a86a75bf5",
+        (6, 60, 1.5): "30e5028237fda0fc",
+        (6, 60, 2.5): "30ff842169ec27d4",
+        (6, 120, 0.3): "9794dc6007bf466f",
+        (6, 120, 0.6): "365075f1e3ff6d1a",
+        (6, 120, 1.0): "c94f961b366c6d48",
+        (6, 120, 1.5): "4b742646402b926b",
+        (6, 120, 2.5): "8fafcef8e8a06216",
     }
 
     @pytest.mark.parametrize("cell", sorted(CELL_DIGESTS))
     def test_criterion_07_cells_pinned(self, cell):
-        n, c = cell
+        ell, n, c = cell
         digest = hashlib.sha256()
         for seed in range(3):
-            cleaned = clean_subgraph(gnp_generate(n, c * n ** -0.4, seed).graph, 4)
+            cleaned = clean_subgraph(gnp_generate(n, c * n ** (-2 / (ell + 1)), seed).graph, ell)
             digest.update(repr(cleaned.edges).encode())
         assert digest.hexdigest()[:16] == self.CELL_DIGESTS[cell]
 
