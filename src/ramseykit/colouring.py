@@ -14,8 +14,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .graphs import (Edge, OrderedGraph, _extend_cliques, _read_records, _write_lines, bits,
-                     normalise_edge, vertex_mask)
+from .graphs import (Edge, OrderedGraph, _extend_cliques, _finite, _read_records, _write_lines,
+                     bits, normalise_edge, vertex_mask)
 
 __all__ = [
     "EdgeColouring",
@@ -338,11 +338,18 @@ def directed_colour_degree(phi: EdgeColouring, v: int, us: Iterable[int],
     return _colour_counts(phi, v, vertex_mask(phi.host, us), direction).get(c, 0)
 
 
+def _threshold(factor: float, delta: float, p: float, size: int) -> float:
+    """factor * delta * p * size, multiplied in that order, refusing a
+    negative or non-finite delta and a p outside [0, 1] with a ValueError
+    naming the parameter."""
+    return factor * _finite("delta", delta, 0) * _finite("p", p, 0, 1) * size
+
+
 def is_delta_p_bounded(phi: EdgeColouring, us: Iterable[int],
                        delta: float, p: float) -> bool:
     """Every colour degree into U stays <= delta * p * |U|, for every u in U."""
     size, degrees = _max_degrees(phi, us)
-    cap = delta * p * size
+    cap = _threshold(1.0, delta, p, size)
     return all(degree <= cap for _, degree in degrees)
 
 
@@ -361,7 +368,7 @@ def unbounded_vertices(phi: EdgeColouring, us: Iterable[int], delta: float,
                        p: float, direction: str) -> tuple[int, ...]:
     """The set of u in U with some directed colour degree >= 4 * delta * p * |U|."""
     size, degrees = _max_degrees(phi, us, direction)
-    threshold = 4.0 * delta * p * size
+    threshold = _threshold(4.0, delta, p, size)
     return tuple(u for u, degree in degrees if degree >= threshold)
 
 
@@ -370,7 +377,7 @@ def bounded_side_split(phi: EdgeColouring, us: Iterable[int], delta: float,
     """Partition U into its unbounded part B(U) (some colour degree
     >= 8 * delta * p * |U|) and the bounded remainder U'."""
     size, degrees = _max_degrees(phi, us)
-    threshold = 8.0 * delta * p * size
+    threshold = _threshold(8.0, delta, p, size)
     unbounded, rest = [], []
     for u, degree in degrees:
         (unbounded if degree >= threshold else rest).append(u)
@@ -431,7 +438,7 @@ def nonrainbow_matching_count(phi: EdgeColouring,
 def pair_density(graph: OrderedGraph, ui: Iterable[int], uj: Iterable[int],
                  p: float) -> float:
     """e(U_i, U_j) / (p |U_i| |U_j|) for disjoint classes (edges counted once)."""
-    if p <= 0:
+    if _finite("p", p, 0, 1) == 0:
         raise ValueError("p must be positive")
     a, b = _check_classes(graph, (ui, uj), 2)
     bmask = vertex_mask(graph, b)
@@ -442,7 +449,7 @@ def pair_density(graph: OrderedGraph, ui: Iterable[int], uj: Iterable[int],
 def cherry_density(graph: OrderedGraph, u1: Iterable[int], u2: Iterable[int],
                    u3: Iterable[int], p: float) -> float:
     """sum_{u in U1} d(u,U2) d(u,U3) / (p^2 |U1| |U2| |U3|)."""
-    if p <= 0:
+    if _finite("p", p, 0, 1) == 0:
         raise ValueError("p must be positive")
     a, b, c = _check_classes(graph, (u1, u2, u3), 3)
     bmask = vertex_mask(graph, b)

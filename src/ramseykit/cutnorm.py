@@ -13,8 +13,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import (Edge, OrderedGraph, _pair_table, _read_records, _sample_pairs, _write_lines,
-                     count_cliques, normalise_edge)
+from .graphs import (Edge, OrderedGraph, _finite, _pair_table, _read_records, _sample_pairs,
+                     _write_lines, count_cliques, normalise_edge)
 
 __all__ = [
     "WeightedGraph",
@@ -58,13 +58,6 @@ class RangeViolation(Exception):
 
 class HypothesisViolated(Exception):
     """A lemma hypothesis (set size or cut-norm bound) fails."""
-
-
-def _finite(key: str, value: float) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{key} must be finite, got {value!r}")
-    return x
 
 
 class WeightedGraph:
@@ -465,8 +458,7 @@ def degree_lemma_check(f: WeightedGraph, g: WeightedGraph, us: Iterable[int],
     returned count is at most eps^(1/3) n whenever the hypotheses hold.
     A negative or non-finite eps is refused with ValueError.
     """
-    if _finite("eps", eps) < 0:
-        raise ValueError(f"eps must be >= 0, got {eps!r}")
+    _finite("eps", eps, 0)
     f._check_compatible(g)
     n = f.n
     ui = _indices(n, us)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .colouring import (
     _max_degrees,
     witness_for,
 )
+from .graphs import _finite
 from .search import SearchOutcome, find_canonical_copy
 
 __all__ = [
@@ -73,12 +74,15 @@ class ErConstants:
     Defaults: delta = 1/(4 ell^3) and length = 2(ell-2)^2 + 2 steps.  The
     regime where the full guarantee applies needs log2(n) >= min_n_log2,
     which is astronomically large; it is recorded for reference, never
-    enforced.
+    enforced.  A negative or non-finite delta is refused with ValueError.
     """
 
     ell: int
     delta: float
     length: int
+
+    def __post_init__(self) -> None:
+        _finite("delta", self.delta, 0)
 
     @classmethod
     def for_clique(cls, ell: int) -> "ErConstants":
@@ -168,10 +172,13 @@ def _key_base(n: int) -> np.ndarray:
     return base
 
 
-def _steps(phi: EdgeColouring, delta: float) -> Iterator[tuple[Optional[SequenceStep], tuple[int, ...]]]:
-    """The steps of build_sequence, each with the survivors after it, then
-    (None, S) once no step qualifies on the surviving set S."""
-    n, matrix = phi.host.n, phi._matrix
+def _sequence(phi: EdgeColouring, consts: ErConstants,
+              ell: int = 0) -> Union[NeighbourhoodSequence, BoundedSubsetSignal, None]:
+    """build_sequence, or None as soon as fewer than ell vertices survive and
+    fewer than the steps left + 1.  Each step drops its own vertex and keeps
+    at least one, so the run can then only end in a bounded set of fewer
+    than ell vertices, which er_find hands to exhaustive search."""
+    n, delta, matrix = phi.host.n, consts.delta, phi._matrix
     # label phi(vw) in colour order, with -1 off the edges: by its colour
     # up to n^2, else by its dense rank - 1, so palette[label + 1] is phi(vw)
     palette, labels = None, matrix
@@ -181,42 +188,26 @@ def _steps(phi: EdgeColouring, delta: float) -> Iterator[tuple[Optional[Sequence
     keys = labels * 2 + _key_base(n)
     span = 2 * (n * n + 2)
     block = np.arange(n + 1)  # 0, then the survivors
-    flat = np.sort(keys, axis=None)
-    while True:
+    steps: list[SequenceStep] = []
+    trace: list[tuple[int, ...]] = []
+    while len(steps) < consts.length:
         # the block's keys sorted: the diagonal's -1s, then one run of equal
         # keys per (v, c, dir) degree, then row and column 0's sentinels
+        flat = np.sort(keys.take(block, 0).take(block, 1) if steps else keys, axis=None)
         s = len(block) - 1
         ends = (flat[1:] != flat[:-1]).nonzero()[0]
         counts = ends[1:] - ends[:-1]  # the runs after the diagonal's: none if s = 1
         best = counts.argmax() if s > 1 else None  # the first maximum has the smallest key
         if best is None or not counts[best] > delta * s / 2.0:
-            yield None, tuple(block[1:].tolist())
-            return
+            return BoundedSubsetSignal(tuple(block[1:].tolist()), delta)
         key = int(flat[ends[best + 1]])
         v, rest = divmod(key, span)
         colour = rest // 2 - 1 if palette is None else int(palette[rest // 2])
         kept = keys[v].take(block) == key
         kept[0] = True
         block = block[kept]
-        yield SequenceStep(v, colour, ">" if rest % 2 else "<"), tuple(block[1:].tolist())
-        flat = np.sort(keys.take(block, 0).take(block, 1), axis=None)
-
-
-def _sequence(phi: EdgeColouring, consts: ErConstants,
-              ell: int = 0) -> Union[NeighbourhoodSequence, BoundedSubsetSignal, None]:
-    """build_sequence, or None as soon as fewer than ell vertices survive and
-    fewer than the steps left + 1.  Each step drops its own vertex and keeps
-    at least one, so the run can then only end in a bounded set of fewer
-    than ell vertices, which er_find hands to exhaustive search."""
-    n, delta = phi.host.n, consts.delta
-    steps: list[SequenceStep] = []
-    trace: list[tuple[int, ...]] = []
-    run = _steps(phi, delta)
-    while len(steps) < consts.length:
-        step, surviving = next(run)
-        if step is None:
-            return BoundedSubsetSignal(surviving, delta)
-        steps.append(step)
+        surviving = tuple(block[1:].tolist())
+        steps.append(SequenceStep(v, colour, ">" if rest % 2 else "<"))
         trace.append(surviving)
         # nested-neighbourhood size bound, relative to the original n
         assert len(surviving) > (delta / 2.0) ** len(steps) * n
@@ -287,7 +278,8 @@ def rainbow_by_sampling(phi: EdgeColouring, us, ell: int, delta: float,
     """Rainbow K_ell by sparse vertex sampling and conflict deletion.
 
     Requires the colouring restricted to U to be delta-bounded (every colour
-    degree at most delta |U|); raises NotBounded otherwise.  Each round keeps
+    degree at most delta |U|); raises NotBounded otherwise, and ValueError
+    for a negative or non-finite delta.  Each round keeps
     every vertex of U independently with probability 2 ell / |U|, then
     repeatedly locates the lexicographically first pair of equal-coloured
     edges in the kept set and deletes the largest vertex it spans.  When at
@@ -298,7 +290,7 @@ def rainbow_by_sampling(phi: EdgeColouring, us, ell: int, delta: float,
     _require_complete(phi)
     u_sorted = tuple(sorted(set(us)))
     size, degrees = _max_degrees(phi, u_sorted)
-    cap = delta * size
+    cap = _finite("delta", delta, 0) * size
     for v, degree in degrees:
         if degree > cap:
             raise NotBounded(f"colour degree {degree} at vertex {v} exceeds delta|U| = {cap}")

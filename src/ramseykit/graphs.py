@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice
 from threading import Lock
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -63,6 +63,19 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _finite(key: str, value: float, low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a float, refused with a ValueError naming ``key`` when it
+    is not finite or lies outside [low, high]: NaN compares false with every
+    bound, so a check written as a comparison would let it through."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    if not low <= x <= high:
+        bound = f"be >= {low:g}" if high == math.inf else f"lie in [{low:g}, {high:g}]"
+        raise ValueError(f"{key} must {bound}, got {value!r}")
+    return x
 
 
 def normalise_edge(u: int, v: int) -> Edge:
@@ -194,11 +207,10 @@ def gnp_generate(n: int, p: float, seed: int) -> GnpSample:
     consumed per vertex pair in lexicographic order (1,2), (1,3), ...,
     (n-1,n), and the pair is an edge iff its draw is < p.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0,1]")
+    p = _finite("p", p, 0, 1)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return GnpSample(_sample_pairs(n, p, seed), float(p), int(seed))
+    return GnpSample(_sample_pairs(n, p, seed), p, int(seed))
 
 
 _PAIR_CAP = 1 << 20  # pairs cached over every n together
@@ -342,26 +354,6 @@ def degree_into(graph: OrderedGraph, v: int, us: Iterable[int]) -> int:
     return (graph._adj[v] & vertex_mask(graph, us)).bit_count()
 
 
-def _has_conflicting_clique_pair(adj: Sequence[int], common: int, k: int,
-                                 bit: Sequence[int]) -> bool:
-    """Do two distinct k-cliques inside ``common`` share a vertex?  ``bit``
-    is the graph's single-bit table from ``_bit_table``.
-
-    Used by the cleaning scan with k = ell-2 >= 3: two K_ell through a fixed
-    edge intersect in >= 3 vertices iff their residual (ell-2)-cliques inside
-    the common neighbourhood share a vertex.
-    """
-    if common.bit_count() <= k:
-        return False  # two distinct k-sets sharing a vertex span >= k+1 vertices
-    seen = 0
-    for clique in _extend_cliques(adj, common, k):
-        for w in clique:
-            if seen & bit[w]:
-                return True
-            seen |= bit[w]
-    return False
-
-
 def clean_subgraph(graph: OrderedGraph, ell: int) -> OrderedGraph:
     """Scan edges lexicographically, dropping any edge that currently lies in
     two distinct K_ell's sharing at least three vertices.
@@ -378,25 +370,25 @@ def clean_subgraph(graph: OrderedGraph, ell: int) -> OrderedGraph:
         return graph
     adj = list(graph._adj)
     bit, above = _bit_table(graph.n)
+    size = ell - 2  # vertices that two distinct K_{ell-3} span at least
     removed = []
     for i, (u, v) in enumerate(graph.edges):
         common = adj[u] & adj[v]
-        if ell == 4:
-            # two edges inside common share a vertex iff some w in common has
-            # two neighbours x, y there.  Only a w above v can: for w < v the
-            # edge uw came earlier in the scan with v, x, y in its common
-            # neighbourhood, so it was removed.  Walk those w from the top.
-            if common.bit_count() < 3:
-                continue
-            rest = common & above[v]
-            while rest:
-                w = rest.bit_length() - 1
-                rest ^= bit[w]
-                if (adj[w] & common).bit_count() >= 2:
-                    break
-            else:
-                continue
-        elif not _has_conflicting_clique_pair(adj, common, ell - 2, bit):
+        # two K_ell through uv share a third vertex w iff the link
+        # adj[w] & common of some w in common holds two distinct K_{ell-3}
+        # (two vertices at ell = 4).  Only a w above v can: for w < v the edge
+        # uw came earlier in the scan with v and both cliques in its common
+        # neighbourhood, so it was removed.  Walk those w from the top.
+        if common.bit_count() <= size:
+            continue
+        rest = common & above[v]
+        while rest:
+            w = rest.bit_length() - 1
+            rest ^= bit[w]
+            if (adj[w] & common).bit_count() >= size and (
+                    size == 2 or any(islice(_extend_cliques(adj, adj[w] & common, ell - 3), 1, None))):
+                break
+        else:
             continue
         adj[u] ^= bit[v]  # uv is still an edge, so its bits are set
         adj[v] ^= bit[u]

@@ -122,8 +122,8 @@ class ExperimentConfig:
             raise ValueError("budget must be >= 1")
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ValueError("n_grid must list positive vertex counts")
-        if not self.c_grid or any(c <= 0 for c in self.c_grid):
-            raise ValueError("c_grid must list positive reals")
+        if not self.c_grid or not all(0 < c < math.inf for c in self.c_grid):
+            raise ValueError(f"c_grid must list positive reals, got {list(self.c_grid)!r}")
         if len(set(self.n_grid)) != len(self.n_grid) or len(set(self.c_grid)) != len(self.c_grid):
             raise ValueError("n_grid and c_grid values must be distinct")
         if self.exponent_mode not in EXPONENT_MODES:

@@ -204,6 +204,10 @@ def test_missing_config_exits_2(tmp_path, capsys):
      "seed must be >= 0, got -1"),
     ("--config", '{"ell": 4, "n_grid": [12], "c_grid": [1.0], "trials": 2, "master_seed": 1, '
                  '"adversary": {"kind": "GreedyProper"}, "budget": 0}', "budget must be >= 1"),
+    ("--config", '{"ell": 4, "n_grid": [12], "c_grid": [NaN], "trials": 2, "master_seed": 1, '
+                 '"adversary": {"kind": "GreedyProper"}}', "c_grid must list positive reals, got [nan]"),
+    ("--config", '{"ell": 4, "n_grid": [12], "c_grid": [Infinity], "trials": 2, "master_seed": 1, '
+                 '"adversary": {"kind": "GreedyProper"}}', "c_grid must list positive reals, got [inf]"),
 ])
 def test_malformed_input_file_exits_2(flag, text, message, coloured_files, tmp_path, capsys):
     gpath, cpath = coloured_files

@@ -410,16 +410,28 @@ class TestColourDegreeOracle:
         everyone = brute_max_degrees(coloured(), host.vertices)
         assert max_colour_multiplicity(coloured()) == max(everyone.values())
 
-    def test_nan_delta_puts_every_vertex_on_the_bounded_side(self):
-        # every comparison with NaN is false, so no vertex reaches a threshold
-        # and none stays under a cap
+    def test_nan_delta_refused(self):
+        # every comparison with NaN is false, so no vertex would reach a
+        # threshold and none stay under a cap: the predicates contradicted
+        # each other
         phi = generate_colouring(OrderedGraph.complete(6), AdversarySpec("RandomR", r=2, seed=1))
         us = range(1, 7)
-        assert bounded_side_split(phi, us, math.nan, 1.0) == ((), tuple(us))
-        assert not unbounded_condition_holds(phi, us, math.nan, 1.0)
-        assert unbounded_vertices(phi, us, math.nan, 1.0, "<") == ()
-        assert unbounded_vertices(phi, us, math.nan, 1.0, ">") == ()
-        assert not is_delta_p_bounded(phi, us, math.nan, 1.0)
+        predicates = (is_delta_p_bounded, bounded_side_split, unbounded_condition_holds,
+                      lambda phi, us, delta, p: unbounded_vertices(phi, us, delta, p, "<"),
+                      lambda phi, us, delta, p: unbounded_vertices(phi, us, delta, p, ">"))
+        for f in predicates:
+            for delta, p, message in ((math.nan, 1.0, "delta must be finite"),
+                                      (math.inf, 1.0, "delta must be finite"),
+                                      (-0.1, 1.0, "delta must be >= 0"),
+                                      (0.1, math.nan, "p must be finite"),
+                                      (0.1, -0.5, r"p must lie in \[0, 1\]"),
+                                      (0.1, 1.5, r"p must lie in \[0, 1\]")):
+                with pytest.raises(ValueError, match=message):
+                    f(phi, us, delta, p)
+        # delta = 0 and p = 0 keep their answers: every threshold is 0
+        for delta, p in ((0.0, 1.0), (0.1, 0.0)):
+            assert bounded_side_split(phi, us, delta, p) == (tuple(us), ())
+            assert not is_delta_p_bounded(phi, us, delta, p)
 
     @pytest.mark.parametrize("f", [
         is_delta_p_bounded, bounded_side_split, unbounded_condition_holds,
@@ -541,6 +553,19 @@ class TestDensities:
     def test_cherry_density_rejects_bad_classes(self, classes):
         with pytest.raises(ValueError):
             cherry_density(OrderedGraph.complete(6), *classes, 0.5)
+
+    @pytest.mark.parametrize("p, message", [(math.nan, "p must be finite"),
+                                            (math.inf, "p must be finite"),
+                                            (1.5, r"p must lie in \[0, 1\]"),
+                                            (-0.5, r"p must lie in \[0, 1\]"),
+                                            (0.0, "p must be positive")])
+    def test_densities_refuse_p_outside_unit_interval(self, p, message):
+        # a NaN p made both densities NaN
+        g = OrderedGraph.complete(6)
+        with pytest.raises(ValueError, match=message):
+            pair_density(g, [1, 2], [3, 4], p)
+        with pytest.raises(ValueError, match=message):
+            cherry_density(g, [1, 2], [3, 4], [5, 6], p)
 
 
 class TestGreedyPartition:

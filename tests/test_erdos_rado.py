@@ -1,3 +1,4 @@
+import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,6 +280,13 @@ class TestConstants:
     def test_recorded_size_bound_is_astronomical(self):
         assert ErConstants.for_clique(3).min_n_log2 > 100
 
+    @pytest.mark.parametrize("delta, message", [(math.nan, "delta must be finite"),
+                                                (math.inf, "delta must be finite"),
+                                                (-1.0, "delta must be >= 0")])
+    def test_refuses_negative_or_non_finite_delta(self, delta, message):
+        with pytest.raises(ValueError, match=message):
+            ErConstants(ell=3, delta=delta, length=5)
+
 
 class TestBuildSequence:
     def test_requires_complete_host(self):
@@ -408,6 +416,17 @@ class TestRainbowSampling:
         phi = mono_colouring(10)
         with pytest.raises(NotBounded):
             rainbow_by_sampling(phi, range(1, 11), 3, delta=0.5, seed=0)
+
+    @pytest.mark.parametrize("delta, message", [(math.nan, "delta must be finite"),
+                                                (-1.0, "delta must be >= 0")])
+    def test_refuses_negative_or_non_finite_delta(self, delta, message):
+        # NaN passed every colour-degree cap, so the sampler ran and returned
+        # None where delta = 0.1 raises NotBounded
+        phi = generate_colouring(OrderedGraph.complete(12), AdversarySpec("MinOrder"))
+        with pytest.raises(NotBounded):
+            rainbow_by_sampling(phi, range(1, 13), 3, delta=0.1, seed=0)
+        with pytest.raises(ValueError, match=message):
+            rainbow_by_sampling(phi, range(1, 13), 3, delta=delta, seed=0)
 
     def test_bounded_fixture_success_rate(self):
         # delta-bounded colouring on a large set: BoundedRandom(lam=3) keeps

@@ -22,7 +22,7 @@ from ramseykit import (
     write_graph,
 )
 from ramseykit import graphs
-from ramseykit.graphs import _has_conflicting_clique_pair, _pair_table
+from ramseykit.graphs import _pair_table
 
 
 def brute_cliques(graph, ell):
@@ -50,15 +50,6 @@ def brute_clean(graph, ell):
         if any(a & b for a, b in itertools.combinations(through, 2)):
             edges.discard((u, v))
     return OrderedGraph(graph.n, edges)
-
-
-def brute_conflict(graph, common, k):
-    """Independent oracle for the cleaning test: do two distinct k-subsets
-    of ``common`` both induce cliques and share a vertex?"""
-    members = [w for w in graph.vertices if common >> w & 1]
-    cliques = [set(c) for c in itertools.combinations(members, k)
-               if all(graph.has_edge(a, b) for a, b in itertools.combinations(c, 2))]
-    return any(a & b for a, b in itertools.combinations(cliques, 2))
 
 
 @st.composite
@@ -333,23 +324,19 @@ class TestCleanSubgraph:
         assert clean_subgraph(g, 3) is g
 
     @settings(max_examples=300, deadline=None)
-    @given(graphs_with_mask(), st.sampled_from([1, 3, 4]))
-    def test_conflict_test_matches_brute_force(self, graph_and_common, k):
-        graph, common = graph_and_common
-        adj = [0] + [graph.adjacency(v) for v in graph.vertices]
-        bit = graphs._bit_table(graph.n)[0]
-        assert _has_conflicting_clique_pair(adj, common, k, bit) == brute_conflict(graph, common, k)
-
-    @settings(max_examples=300, deadline=None)
     @given(graphs_with_mask().map(lambda graph_and_common: graph_and_common[0]),
-           st.sampled_from([4, 5]))
-    # the ell = 4 scan's own conflict test (k = 2) at the first edge (1, 2),
-    # under a common neighbourhood inducing a path (its middle vertex has two
+           st.sampled_from([4, 5, 6]))
+    # the scan's conflict test at the first edge (1, 2).  At ell = 4 the
+    # common neighbourhood induces a path (its middle vertex has two
     # neighbours there, each end one), one edge beside an isolated vertex,
-    # and two disjoint edges
+    # or two disjoint edges.  At ell = 5 it induces a triangle, so each
+    # vertex's link holds exactly one edge and (1, 2) is kept, or a vertex
+    # joined to a path, whose link holds two edges, so (1, 2) is removed
     @example(under_first_edge(3, [(1, 2), (2, 3)]), 4)
     @example(under_first_edge(3, [(1, 3)]), 4)
     @example(under_first_edge(4, [(1, 2), (3, 4)]), 4)
+    @example(under_first_edge(3, [(1, 2), (1, 3), (2, 3)]), 5)
+    @example(under_first_edge(4, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]), 5)
     def test_matches_brute_force_at_every_density(self, graph, ell):
         assert clean_subgraph(graph, ell) == brute_clean(graph, ell)
 

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +152,12 @@ class TestConfig:
         # float() would run "c_grid": ["1.5", true] as (1.5, 1.0)
         data = {**small_config().to_json(), "c_grid": [0.5, value]}
         assert_refused(data, "c_grid must list numbers")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_refuses_non_finite_c(self, value):
+        # NaN reached gnp_generate as p = NaN, and inf ran as a cell clamped to p = 1
+        assert_refused({**small_config().to_json(), "c_grid": [0.5, value]},
+                       "c_grid must list positive reals")
 
     def test_from_json_accepts_integer_c(self):
         data = {**small_config().to_json(), "c_grid": [1, 2.5]}
