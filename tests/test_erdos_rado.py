@@ -1,4 +1,5 @@
 import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
