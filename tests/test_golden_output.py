@@ -4,9 +4,16 @@ The sweep fixtures in ``tests/golden`` hold the trial CSV, the summary CSV
 and the JSON of two small sweeps with ``elapsed_ms`` masked to 0: rainbow
 search under GreedyProper and canonical search under RandomR(3), on
 n in {12, 20} and C in {0.6, 3.0}; the (12, 3.0) cell is clamped to p = 1.
+
+The fixtures in ``tests/golden/cli`` hold what ``ramseykit`` commands print
+and write, run in a working directory holding copies of the inputs in
+``tests/golden/cli/input``: ``<case>.out`` is the exit status line and then
+stdout, and ``<case>.<name>`` is the file ``<name>`` the command wrote.
 """
 
 import re
+import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +36,10 @@ from ramseykit import (
     write_summary_csv,
     write_weighted,
 )
+from ramseykit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+CLI = GOLDEN / "cli"
 
 SWEEPS = {
     "rainbow": AdversarySpec("GreedyProper"),
@@ -80,3 +89,34 @@ def test_file_formats_match_literal_text(tmp_path):
     assert read_graph(paths["g.txt"]) == graph
     assert read_colouring(paths["c.txt"], graph) == phi
     assert np.array_equal(read_weighted(paths["w.txt"]).w, f.w)
+
+
+CLI_CASES = {
+    "find_canonical": "find --graph g12.txt --colouring g12.col --ell 4 --witness-out witness.json",
+    "find_rainbow": "find --graph g12.txt --colouring g12.col --ell 3 --rainbow",
+    "find_set": "find --graph g12.txt --colouring g12.col --ell 3 --set 2,4,6,8,10,12",
+    "find_not_found": "find --graph g12.txt --colouring g12.col --ell 5 --rainbow",
+    "arrow_k6": "arrow --graph k6.txt --ell 3 --colours 2",
+    "arrow_refuted": "arrow --graph k5.txt --ell 3 --colours 2 --witness-out certificate.txt",
+    "arrow_budget": "arrow --graph k6.txt --ell 3 --colours 2 --budget 1",
+    # K30 ends in the sequence branch under two colours and in exhaustive
+    # search under 435; K_216 injective is delta-bounded, so it samples
+    "er_k30_r2": """er-demo --n 30 --ell 3 --adversary '{"kind": "RandomR", "r": 2, "seed": 1}'""",
+    "er_k30_r435": """er-demo --n 30 --ell 3 --adversary '{"kind": "RandomR", "r": 435, "seed": 1}'""",
+    "er_k216_injective": """er-demo --n 216 --ell 3 --adversary '{"kind": "Injective"}'""",
+    "er_k40_greedy": """er-demo --n 40 --ell 4 --adversary '{"kind": "GreedyProper"}'""",
+    "sweep_clean_verify": "sweep --config clean.json --out trials.csv --verify",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_output_matches_golden_text(case, tmp_path, monkeypatch, capsys):
+    shutil.copytree(CLI / "input", tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    status = main(shlex.split(CLI_CASES[case]))
+    assert f"exit {status}\n" + capsys.readouterr().out == (CLI / f"{case}.out").read_text()
+    written = {path.name: _masked(path) for path in tmp_path.iterdir()
+               if not (CLI / "input" / path.name).exists()}
+    expected = {path.name[len(case) + 1:]: path.read_text()
+                for path in CLI.glob(f"{case}.*") if path.suffix != ".out"}
+    assert written == expected
