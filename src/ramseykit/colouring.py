@@ -110,7 +110,7 @@ class EdgeColouring:
         """
         phi = cls.__new__(cls)
         phi.host = host
-        phi._rows = _SourceRows(host, colours) if callable(colours) else _Rows(host, colours)
+        phi._rows = _Rows(host, colours)
         return phi
 
     @property
@@ -162,44 +162,32 @@ _Source = Callable[[int, int], Sequence[int]]
 
 
 class _Rows(dict):
-    """``rows[v]``: row v of a colour matrix as Python ints, made on first use."""
+    """``rows[v]``: row v of a colour matrix as Python ints, made on first use.
 
-    def __init__(self, host: OrderedGraph, colours: Sequence[int] | np.ndarray) -> None:
-        self.matrix = np.full((host.n + 1, host.n + 1), -1, dtype=np.int64)
-        self._scatter(host._us, host._vs, colours)
-
-    def _scatter(self, us: np.ndarray, vs: np.ndarray, colours: Sequence[int] | np.ndarray) -> None:
-        colours = np.asarray(colours, dtype=np.int64)
-        self.matrix[us, vs] = colours
-        self.matrix[vs, us] = colours
-
-    def drain(self) -> np.ndarray:
-        """The matrix with every edge coloured."""
-        return self.matrix
-
-    def __missing__(self, v: int) -> list[int]:
-        row = self[v] = self.matrix[v].tolist()
-        return row
-
-
-class _SourceRows(_Rows):
-    """The rows of a colouring given by a colour source, coloured as read.
-
-    Edges come in lexicographic order, so row v holds only edges of the
-    prefix whose first endpoint is at most v; a source whose colour for an
-    edge depends only on earlier edges (greedy) is final on that prefix.
+    The matrix is filled from a colour source in edge-prefix order.  Edges
+    come in lexicographic order, so row v holds only edges of the prefix
+    whose first endpoint is at most v; a source whose colour for an edge
+    depends only on earlier edges (greedy) is final on that prefix.  A
+    colour list is taken whole, as one slice, at construction.
     """
 
-    def __init__(self, host: OrderedGraph, source: _Source) -> None:
+    def __init__(self, host: OrderedGraph, colours: Sequence[int] | np.ndarray | _Source) -> None:
         self.matrix = np.full((host.n + 1, host.n + 1), -1, dtype=np.int64)
         self.host = host
-        self.source: Optional[_Source] = source
         self.filled = 0  # host.edges[:filled] are coloured
+        if callable(colours):
+            self.source: Optional[_Source] = colours
+        else:
+            self.source = lambda start, end: colours[start:end]
+            self.drain()
 
     def _advance(self, end: int) -> None:
         start, host = self.filled, self.host
         if end > start:
-            self._scatter(host._us[start:end], host._vs[start:end], self.source(start, end))
+            us, vs = host._us[start:end], host._vs[start:end]
+            colours = np.asarray(self.source(start, end), dtype=np.int64)
+            self.matrix[us, vs] = colours
+            self.matrix[vs, us] = colours
             self.filled = end
 
     def drain(self) -> np.ndarray:
@@ -212,7 +200,8 @@ class _SourceRows(_Rows):
     def __missing__(self, v: int) -> list[int]:
         if self.source is not None:
             self._advance(int(np.searchsorted(self.host._us, v, "right")))
-        return super().__missing__(v)
+        row = self[v] = self.matrix[v].tolist()
+        return row
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,8 @@ class ErConstants:
     Defaults: delta = 1/(4 ell^3) and length = 2(ell-2)^2 + 2 steps.  The
     regime where the full guarantee applies needs log2(n) >= min_n_log2,
     which is astronomically large; it is recorded for reference, never
-    enforced.  A negative or non-finite delta is refused with ValueError.
+    enforced.  An ell below 3, a negative or non-finite delta and a length
+    below 1 are refused with ValueError.
     """
 
     ell: int
@@ -82,12 +83,14 @@ class ErConstants:
     length: int
 
     def __post_init__(self) -> None:
+        if self.ell < 3:
+            raise ValueError("ell must be >= 3")
         _finite("delta", self.delta, 0)
+        if self.length < 1:
+            raise ValueError("length must be >= 1")
 
     @classmethod
     def for_clique(cls, ell: int) -> "ErConstants":
-        if ell < 3:
-            raise ValueError("ell must be >= 3")
         return cls(ell=ell, delta=1.0 / (4 * ell**3), length=2 * (ell - 2) ** 2 + 2)
 
     @property
@@ -328,8 +331,6 @@ def er_find(phi: EdgeColouring, ell: int, seed: int = 0) -> ErResult:
     finds nothing (tiny hosts such as K_3 under a bad colouring).
     """
     _require_complete(phi)
-    if ell < 3:
-        raise ValueError("ell must be >= 3")
     outcome = _sequence(phi, ErConstants.for_clique(ell), ell)
     if isinstance(outcome, NeighbourhoodSequence):
         witness = extract_canonical(outcome, ell)

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 from .adversaries import AdversarySpec, _check_json_keys, _int_field, generate_colouring
 from .colouring import PatternTag
 from .graphs import (OrderedGraph, _bit_table, _extend_cliques, _write_lines, clean_subgraph,
-                     gnp_generate)
+                     enumerate_cliques, gnp_generate)
 from .search import (
     ArrowQuery,
     DEFAULT_NODE_BUDGET,
@@ -361,15 +361,15 @@ def _clean_breach(graph: OrderedGraph, ell: int) -> Optional[str]:
     a K_{ell+1} before two K_ell sharing three vertices, or None.
 
     Each triangle uvw (u < v < w) is visited once, from its first edge uv,
-    with L the common neighbourhood of u, v and w.  A K_{ell-2} inside L is
-    a K_{ell+1}; each K_{ell+1} is met at its three lowest vertices, so only
-    L above w is searched.  Two distinct K_{ell-3} inside L are two K_ell
-    sharing uvw.  Both need |L| >= ell-2, hence ell-1 common neighbours of
-    u and v.
+    with L the common neighbourhood of u, v and w.  Two distinct K_{ell-3}
+    inside L are two K_ell sharing uvw, which needs |L| >= ell-2, hence
+    ell-1 common neighbours of u and v.  One probe per triangle decides
+    both invariants: a K_{ell+1} holds two K_ell sharing ell-1 >= 3
+    vertices, so it breaks the second too, and only after the first such
+    triangle is the whole graph searched for a K_{ell+1}.
     """
     adj = graph._adj
     bit, above = _bit_table(graph.n)
-    shared = False
     for u, v in graph.edges:
         common = adj[u] & adj[v]
         if common.bit_count() < ell - 1:
@@ -381,26 +381,26 @@ def _clean_breach(graph: OrderedGraph, ell: int) -> Optional[str]:
             inner = common & adj[w]
             if inner.bit_count() < ell - 2:
                 continue
-            if next(_extend_cliques(adj, inner & above[w], ell - 2), None) is not None:
-                return f"K_{ell + 1} present after cleaning"
-            # a K_{ell+1} anywhere is reported first, so the scan goes on
-            second = islice(_extend_cliques(adj, inner, ell - 3), 1, None)
-            shared = shared or next(second, None) is not None
-    return f"two K_{ell} share >= 3 vertices" if shared else None
+            if next(islice(_extend_cliques(adj, inner, ell - 3), 1, None), None) is not None:
+                if next(enumerate_cliques(graph, ell + 1), None) is not None:
+                    return f"K_{ell + 1} present after cleaning"
+                return f"two K_{ell} share >= 3 vertices"
+    return None
 
 
 def verify_corollary_mode(records: Iterable[TrialRecord]) -> CorollaryReport:
     """Re-audit a clean-mode sweep from its seeds.
 
     For every trial the cleaned graph is regenerated and re-checked: at
-    ell >= 4, no K_{ell+1} and no two K_ell sharing >= 3 vertices.  Both are
-    checked one triangle at a time: a K_{ell+1} is a triangle plus a
-    K_{ell-2} among the triangle's common neighbours, and any three shared
-    vertices of two K_ell form a triangle whose common neighbours hold two
-    distinct K_{ell-3}.  A K_{ell+1} anywhere in the graph is reported
-    before any shared triangle.  A recorded witness must then be ell
-    strictly increasing vertices, pairwise adjacent in the cleaned graph.
-    A failure raises InvariantBreach and indicates a bug.
+    ell >= 4, no K_{ell+1} and no two K_ell sharing >= 3 vertices.  Any three
+    shared vertices of two K_ell form a triangle whose common neighbours
+    hold two distinct K_{ell-3}, and each triangle is probed once for that.
+    A K_{ell+1} holds two K_ell sharing ell-1 >= 3 vertices, so it is met
+    there too: at the first such triangle the graph is searched for a
+    K_{ell+1}, which is reported before the shared triangle.  A recorded
+    witness must then be ell strictly increasing vertices, pairwise
+    adjacent in the cleaned graph.  A failure raises InvariantBreach and
+    indicates a bug.
     """
     recs = list(records)
     witnesses = 0

@@ -281,12 +281,20 @@ class TestConstants:
     def test_recorded_size_bound_is_astronomical(self):
         assert ErConstants.for_clique(3).min_n_log2 > 100
 
-    @pytest.mark.parametrize("delta, message", [(math.nan, "delta must be finite"),
-                                                (math.inf, "delta must be finite"),
-                                                (-1.0, "delta must be >= 0")])
-    def test_refuses_negative_or_non_finite_delta(self, delta, message):
+    # the delta cases keep their ids from before ell and length were checked
+    @pytest.mark.parametrize("ell, delta, length, message", [
+        (3, math.nan, 5, "delta must be finite"),
+        (3, math.inf, 5, "delta must be finite"),
+        (3, -1.0, 5, "delta must be >= 0"),
+        (2, 0.1, 5, "ell must be >= 3"),
+        (1, 0.1, -3, "ell must be >= 3"),
+        (3, 0.1, 0, "length must be >= 1"),
+        (3, 0.1, -3, "length must be >= 1"),
+    ], ids=["nan-delta must be finite", "inf-delta must be finite", "-1.0-delta must be >= 0",
+            "ell 2", "ell 1 length -3", "length 0", "length -3"])
+    def test_refuses_negative_or_non_finite_delta(self, ell, delta, length, message):
         with pytest.raises(ValueError, match=message):
-            ErConstants(ell=3, delta=delta, length=5)
+            ErConstants(ell=ell, delta=delta, length=length)
 
 
 class TestBuildSequence:

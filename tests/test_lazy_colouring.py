@@ -27,7 +27,6 @@ from ramseykit import (
     max_colour_multiplicity,
     write_colouring,
 )
-from ramseykit.colouring import _Rows
 from ramseykit.graphs import _extend_cliques, vertex_mask
 
 
@@ -175,11 +174,13 @@ class TestLazyGreedy:
 
     def test_eager_colourings_have_no_source(self):
         graph = gnp_generate(12, 0.5, 1).graph
-        for spec in (AdversarySpec("RandomR", r=3), AdversarySpec("Injective"),
-                     AdversarySpec("MinOrder"), AdversarySpec("MaxOrder"),
-                     AdversarySpec("BoundedRandom", lam=2)):
-            phi = generate_colouring(graph, spec)
-            assert type(phi._rows) is _Rows
+        phis = [generate_colouring(graph, spec)
+                for spec in (AdversarySpec("RandomR", r=3), AdversarySpec("Injective"),
+                             AdversarySpec("MinOrder"), AdversarySpec("MaxOrder"),
+                             AdversarySpec("BoundedRandom", lam=2))]
+        phis.append(EdgeColouring(graph, dict(phis[0].items())))
+        for phi in phis:
+            assert phi._rows.source is None and phi._rows.filled == graph.edge_count
 
 
 class TestRainbowSearchReads:
