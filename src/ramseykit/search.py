@@ -68,8 +68,7 @@ class ArrowQuery:
 @dataclass(frozen=True)
 class SearchOutcome:
     """The first clique found, if any, and the work done: ``nodes_explored``
-    counts the cliques classified (canonical search) or the candidates
-    tested for a colour collision (rainbow search)."""
+    counts the (prefix, v) pairs the search tested, in both modes."""
 
     found: bool
     witness: Optional[CanonicalWitness]
@@ -95,59 +94,49 @@ class ExhaustiveArrowOutcome:
     counterexample: Optional[EdgeColouring]
 
 
-def find_canonical_copy(phi: EdgeColouring, ell: int,
-                        within: Optional[Iterable[int]] = None) -> SearchOutcome:
-    """First clique (lexicographic order) classifying with a strict canonical
-    tag: monochromatic, rainbow, min-coloured, or max-coloured."""
-    if ell < 3:
-        raise ValueError("ell must be >= 3")
-    rows = phi._rows
-    nodes = 0
-    for tup in enumerate_cliques(phi.host, ell, within):
-        nodes += 1
-        if _tags(tuple(rows[u][w] for u, w in combinations(tup, 2)), ell) & STRICT_TAGS:
-            return SearchOutcome(True, witness_for(phi, tup), nodes)
-    return SearchOutcome(False, None, nodes)
+def _first_clique(phi: EdgeColouring, ell: int, within: Optional[Iterable[int]],
+                  wanted: frozenset[PatternTag]) -> SearchOutcome:
+    """First clique (lexicographic order) with a tag in ``wanted``.
 
-
-def find_rainbow_copy(phi: EdgeColouring, ell: int,
-                      within: Optional[Iterable[int]] = None) -> SearchOutcome:
-    """First rainbow clique, by backtracking with colour-collision pruning.
-
-    A partial tuple is abandoned as soon as two of its chosen edges share a
-    colour, so only rainbow-extendable prefixes are explored; the first
-    completed tuple is the lexicographically smallest rainbow K_ell.
-    ``nodes_explored`` counts the (prefix, v) pairs tested, which are only
-    those that can still complete by count: v closes the clique, or at
-    least the missing number of common neighbours lie above v.
+    Every strict tag of a K_ell is a tag of each k-vertex prefix, k >= 2, so
+    a prefix with no wanted tag is abandoned and the first streamed tuple is
+    the witness.  ``nodes_explored`` counts the (prefix, v) pairs tested,
+    which are only those that can still complete by count: v closes the
+    clique, or at least the missing number of common neighbours lie above v.
     """
     if ell < 3:
         raise ValueError("ell must be >= 3")
     rows = phi._rows
     nodes = 0
-    # used[d], d >= 3: the colours on the edges among the first d prefix vertices
-    used: list[frozenset[int]] = [frozenset()] * (ell + 1)
 
     def admit(prefix: list[int], v: int) -> bool:
         nonlocal nodes
         nodes += 1
-        depth = len(prefix)
-        if depth < 2:  # fewer than two edges: no colour can repeat, so read no row
+        if len(prefix) < 2:  # one edge has every strict tag, so read no row
             return True
-        seen = used[depth] if depth > 2 else frozenset((rows[prefix[0]][prefix[1]],))
-        grown = seen.union([rows[u][v] for u in prefix])
-        if len(grown) != len(seen) + depth:
-            return False
-        used[depth + 1] = grown
-        return True
+        verts = (*prefix, v)
+        return bool(_tags(tuple([rows[u][w] for u, w in combinations(verts, 2)]), len(verts))
+                    & wanted)
 
     mask = vertex_mask(phi.host, within)
     tup = next(_extend_cliques(phi.host._adj, mask, ell, admit), None)
     if tup is None:
         return SearchOutcome(False, None, nodes)
-    witness = witness_for(phi, tup)
-    assert PatternTag.RAINBOW in witness.tags
-    return SearchOutcome(True, witness, nodes)
+    return SearchOutcome(True, witness_for(phi, tup), nodes)
+
+
+def find_canonical_copy(phi: EdgeColouring, ell: int,
+                        within: Optional[Iterable[int]] = None) -> SearchOutcome:
+    """First clique (lexicographic order) classifying with a strict canonical
+    tag: monochromatic, rainbow, min-coloured, or max-coloured."""
+    return _first_clique(phi, ell, within, STRICT_TAGS)
+
+
+def find_rainbow_copy(phi: EdgeColouring, ell: int,
+                      within: Optional[Iterable[int]] = None) -> SearchOutcome:
+    """First rainbow clique (lexicographic order); a prefix whose edges
+    repeat a colour is abandoned."""
+    return _first_clique(phi, ell, within, frozenset({PatternTag.RAINBOW}))
 
 
 def _clique_edges(graph: OrderedGraph, ell: int) -> list[list[int]]:

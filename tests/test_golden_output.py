@@ -106,6 +106,9 @@ CLI_CASES = {
     "er_k216_injective": """er-demo --n 216 --ell 3 --adversary '{"kind": "Injective"}'""",
     "er_k40_greedy": """er-demo --n 40 --ell 4 --adversary '{"kind": "GreedyProper"}'""",
     "sweep_clean_verify": "sweep --config clean.json --out trials.csv --verify",
+    # 40 nodes decide every clamped K_6 and K_9 and run out on one n = 9
+    # graph at C = 2.0, so a resource_limit row is written
+    "sweep_mono_budget": "sweep --config mono.json --out trials.csv",
 }
 
 

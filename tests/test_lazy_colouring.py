@@ -21,6 +21,7 @@ from ramseykit import (
     OrderedGraph,
     build_sequence,
     enumerate_cliques,
+    find_canonical_copy,
     find_rainbow_copy,
     generate_colouring,
     gnp_generate,
@@ -99,6 +100,11 @@ densities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 def graphs(draw, max_n=40):
     return gnp_generate(draw(st.integers(1, max_n)), draw(densities),
                         draw(st.integers(0, 2**32))).graph
+
+
+# a proper colouring gives a clique on three or more vertices no strict tag
+# but rainbow, so both searches read the same rows of a GreedyProper colouring
+SEARCHES = (find_rainbow_copy, find_canonical_copy)
 
 
 def lazy_greedy(graph):
@@ -210,30 +216,34 @@ class TestRainbowSearchReads:
     def test_depth_below_two_reads_no_row(self):
         # a triangle-free graph gives the search no prefix of three vertices
         graph = OrderedGraph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
-        phi = lazy_greedy(graph)
-        outcome = find_rainbow_copy(phi, 3)
-        assert not outcome.found and outcome.nodes_explored > 0
-        assert phi._rows.filled == 0 and not phi._rows
+        for search in SEARCHES:
+            phi = lazy_greedy(graph)
+            outcome = search(phi, 3)
+            assert not outcome.found and outcome.nodes_explored > 0
+            assert phi._rows.filled == 0 and not phi._rows
 
     def test_triangles_in_no_k4_read_no_row(self):
         # the octahedron K_{2,2,2} has eight triangles and no K_4
         octahedron = OrderedGraph(6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)
                                       if (u, v) not in [(1, 2), (3, 4), (5, 6)]])
         assert list(enumerate_cliques(octahedron, 3)) and not list(enumerate_cliques(octahedron, 4))
-        phi = lazy_greedy(octahedron)
-        outcome = find_rainbow_copy(phi, 4)
-        assert not outcome.found and outcome.nodes_explored > 0
-        assert phi._rows.filled == 0 and not phi._rows
+        for search in SEARCHES:
+            phi = lazy_greedy(octahedron)
+            outcome = search(phi, 4)
+            assert not outcome.found and outcome.nodes_explored > 0
+            assert phi._rows.filled == 0 and not phi._rows
 
     def test_rows_read_only_up_to_the_k4s_third_vertex(self):
         # triangles below and above the only K_4, {9, 10, 11, 12}; greedy
-        # colours it 0, 1, 2, 2, 1, 0, so the search goes on past it
+        # colours it 0, 1, 2, 2, 1, 0, a pattern with no strict tag, so the
+        # search goes on past it
         edges = [(1, 2), (1, 3), (2, 3), (3, 4), (2, 4), (5, 6), (5, 7), (6, 7),
                  (9, 10), (9, 11), (9, 12), (10, 11), (10, 12), (11, 12),
                  (12, 13), (12, 14), (12, 15), (13, 14), (13, 15), (14, 16), (15, 16)]
         graph = OrderedGraph(16, edges)
         assert list(enumerate_cliques(graph, 4)) == [(9, 10, 11, 12)]
-        phi = lazy_greedy(graph)
-        assert not find_rainbow_copy(phi, 4).found
-        assert phi._rows.filled == sum(1 for u, _ in graph.edges if u <= 11)
-        assert max(phi._rows) == 11
+        for search in SEARCHES:
+            phi = lazy_greedy(graph)
+            assert not search(phi, 4).found
+            assert phi._rows.filled == sum(1 for u, _ in graph.edges if u <= 11)
+            assert max(phi._rows) == 11

@@ -109,11 +109,32 @@ class TestFindCanonicalReference:
             within = None if seed % 3 else range(2, n, 2)
             phis = [generate_colouring(g, spec.with_seed(seed)) for _ in range(2)]
             got = find_canonical_copy(phis[0], ell, within)
-            assert got == reference_find_canonical_copy(phis[1], ell, within)
-            # the same rows are read, so a lazy colouring is coloured as far
-            assert set(phis[0]._rows) == set(phis[1]._rows)
-            if spec.kind == "GreedyProper":
+            expected = reference_find_canonical_copy(phis[1], ell, within)
+            # the pruned search counts (prefix, v) pairs, not cliques
+            assert (got.found, got.witness) == (expected.found, expected.witness)
+            # at ell <= 4 a row is read only for a prefix of some K_ell
+            assert set(phis[0]._rows) <= set(phis[1]._rows)
+            if spec.kind == "GreedyProper":  # so a lazy colouring is coloured as far
                 assert phis[0]._rows.filled == phis[1]._rows.filled
+
+
+PREFIX_SPECS = [AdversarySpec("MinOrder"), AdversarySpec("MaxOrder"), AdversarySpec("Injective")] + [
+    AdversarySpec("RandomR", r=r, seed=seed) for r in (1, 2, 3) for seed in range(40)]
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 6])
+def test_each_prefix_keeps_every_strict_tag(ell):
+    # the pattern-pruned search is exact because a strict tag of a K_ell is
+    # a tag of each k-vertex prefix, 2 <= k < ell
+    host = OrderedGraph.complete(ell)
+    seen = set()
+    for spec in PREFIX_SPECS:
+        phi = generate_colouring(host, spec)
+        strict = classify_copy(phi, range(1, ell + 1)) & STRICT_TAGS
+        seen |= strict
+        for k in range(2, ell):
+            assert strict <= classify_copy(phi, range(1, k + 1)), (spec, k)
+    assert seen == STRICT_TAGS
 
 
 class TestFindRainbow:
