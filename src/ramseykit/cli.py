@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from typing import Callable, Optional, Sequence
 
@@ -158,7 +159,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _read("--config", _read_config, args.config)
     result = run_sweep(config, threads=args.threads)
     write_records_csv(result.records, args.out)
-    summary_path = args.out.rsplit(".", 1)[0] + ".summary.csv"
+    summary_path = os.path.splitext(args.out)[0] + ".summary.csv"
     write_summary_csv(result.summaries, summary_path)
     if args.json:
         write_json(result, args.json)

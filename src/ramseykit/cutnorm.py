@@ -152,6 +152,7 @@ class PatternGraph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "edges", frozenset(self.edges))
         if self.ell < 1:
             raise ValueError("pattern needs at least one vertex")
         for u, v in self.edges:

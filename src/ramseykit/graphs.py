@@ -354,31 +354,26 @@ def degree_into(graph: OrderedGraph, v: int, us: Iterable[int]) -> int:
     return (graph._adj[v] & vertex_mask(graph, us)).bit_count()
 
 
-def clean_subgraph(graph: OrderedGraph, ell: int) -> OrderedGraph:
-    """Scan edges lexicographically, dropping any edge that currently lies in
-    two distinct K_ell's sharing at least three vertices.
+def _clean_scan(adj: list[int], edges: Sequence[Edge], ell: int) -> list[int]:
+    """Delete from the bitset rows ``adj``, in place, each edge uv of
+    ``edges`` (walked in order) that still lies in two distinct K_ell sharing
+    at least three vertices, and return the positions in ``edges`` deleted.
 
-    The scan order makes the result unique and deterministic.  For ell = 3
-    the removal condition is vacuous (two distinct triangles share at most
-    two vertices); whenever no edge is removed the graph itself is returned.
-    For ell >= 4 the result contains no K_{ell+1} and no two K_ell's sharing
-    >= 3 vertices, and the operation is idempotent.
+    Two K_ell through uv share a third vertex w iff the link adj[w] & common
+    of some w in common, the common neighbourhood of u and v, holds two
+    distinct K_{ell-3} (two vertices at ell = 4).  Only a w above v can: for
+    w < v the edge uw came earlier in the scan with v and both cliques in its
+    common neighbourhood, so it was deleted.  Those w are walked from the
+    top.  At ell = 3 nothing is deleted, since two distinct triangles share
+    at most two vertices.
     """
-    if ell < 3:
-        raise ValueError("ell must be >= 3")
     if ell == 3:
-        return graph
-    adj = list(graph._adj)
-    bit, above = _bit_table(graph.n)
+        return []
+    bit, above = _bit_table(len(adj) - 1)
     size = ell - 2  # vertices that two distinct K_{ell-3} span at least
     removed = []
-    for i, (u, v) in enumerate(graph.edges):
+    for i, (u, v) in enumerate(edges):
         common = adj[u] & adj[v]
-        # two K_ell through uv share a third vertex w iff the link
-        # adj[w] & common of some w in common holds two distinct K_{ell-3}
-        # (two vertices at ell = 4).  Only a w above v can: for w < v the edge
-        # uw came earlier in the scan with v and both cliques in its common
-        # neighbourhood, so it was removed.  Walk those w from the top.
         if common.bit_count() <= size:
             continue
         rest = common & above[v]
@@ -393,6 +388,23 @@ def clean_subgraph(graph: OrderedGraph, ell: int) -> OrderedGraph:
         adj[u] ^= bit[v]  # uv is still an edge, so its bits are set
         adj[v] ^= bit[u]
         removed.append(i)
+    return removed
+
+
+def clean_subgraph(graph: OrderedGraph, ell: int) -> OrderedGraph:
+    """Scan edges lexicographically, dropping any edge that currently lies in
+    two distinct K_ell's sharing at least three vertices.
+
+    The scan order makes the result unique and deterministic.  For ell = 3
+    the removal condition is vacuous (two distinct triangles share at most
+    two vertices); whenever no edge is removed the graph itself is returned.
+    For ell >= 4 the result contains no K_{ell+1} and no two K_ell's sharing
+    >= 3 vertices, and the operation is idempotent.
+    """
+    if ell < 3:
+        raise ValueError("ell must be >= 3")
+    adj = list(graph._adj)
+    removed = _clean_scan(adj, graph.edges, ell)
     if not removed:
         return graph
     keep = np.ones(graph.edge_count, dtype=bool)

@@ -9,12 +9,12 @@ import logging
 import math
 import time
 from dataclasses import MISSING, dataclass, field, fields
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .adversaries import AdversarySpec, _check_json_keys, _int_field, generate_colouring
 from .colouring import PatternTag
-from .graphs import (OrderedGraph, _bit_table, _extend_cliques, _write_lines, clean_subgraph,
+from .graphs import (OrderedGraph, _clean_scan, _finite, _write_lines, clean_subgraph,
                      enumerate_cliques, gnp_generate)
 from .search import (
     ArrowQuery,
@@ -231,7 +231,9 @@ class SweepResult:
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion; ``z`` must be finite
+    and >= 0."""
+    z = _finite("z", z, 0)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
@@ -357,50 +359,30 @@ class CorollaryReport:
 
 
 def _clean_breach(graph: OrderedGraph, ell: int) -> Optional[str]:
-    """The invariant of an ell-clean graph (ell >= 4) that ``graph`` breaks,
-    a K_{ell+1} before two K_ell sharing three vertices, or None.
+    """The invariant of an ell-clean graph that ``graph`` breaks, a K_{ell+1}
+    before two K_ell sharing three vertices, or None.
 
-    Each triangle uvw (u < v < w) is visited once, from its first edge uv,
-    with L the common neighbourhood of u, v and w.  Two distinct K_{ell-3}
-    inside L are two K_ell sharing uvw, which needs |L| >= ell-2, hence
-    ell-1 common neighbours of u and v.  One probe per triangle decides
-    both invariants: a K_{ell+1} holds two K_ell sharing ell-1 >= 3
-    vertices, so it breaks the second too, and only after the first such
-    triangle is the whole graph searched for a K_{ell+1}.
+    The graph is clean iff the cleaning scan deletes none of its edges.  A
+    K_{ell+1} holds two K_ell sharing ell-1 >= 3 vertices, so it makes the
+    scan delete an edge too, and only then is the graph searched for one.
     """
-    adj = graph._adj
-    bit, above = _bit_table(graph.n)
-    for u, v in graph.edges:
-        common = adj[u] & adj[v]
-        if common.bit_count() < ell - 1:
-            continue
-        rest = common & above[v]
-        while rest:
-            w = rest.bit_length() - 1
-            rest ^= bit[w]
-            inner = common & adj[w]
-            if inner.bit_count() < ell - 2:
-                continue
-            if next(islice(_extend_cliques(adj, inner, ell - 3), 1, None), None) is not None:
-                if next(enumerate_cliques(graph, ell + 1), None) is not None:
-                    return f"K_{ell + 1} present after cleaning"
-                return f"two K_{ell} share >= 3 vertices"
-    return None
+    if not _clean_scan(list(graph._adj), graph.edges, ell):
+        return None
+    if next(enumerate_cliques(graph, ell + 1), None) is not None:
+        return f"K_{ell + 1} present after cleaning"
+    return f"two K_{ell} share >= 3 vertices"
 
 
 def verify_corollary_mode(records: Iterable[TrialRecord]) -> CorollaryReport:
     """Re-audit a clean-mode sweep from its seeds.
 
-    For every trial the cleaned graph is regenerated and re-checked: at
-    ell >= 4, no K_{ell+1} and no two K_ell sharing >= 3 vertices.  Any three
-    shared vertices of two K_ell form a triangle whose common neighbours
-    hold two distinct K_{ell-3}, and each triangle is probed once for that.
-    A K_{ell+1} holds two K_ell sharing ell-1 >= 3 vertices, so it is met
-    there too: at the first such triangle the graph is searched for a
-    K_{ell+1}, which is reported before the shared triangle.  A recorded
-    witness must then be ell strictly increasing vertices, pairwise
-    adjacent in the cleaned graph.  A failure raises InvariantBreach and
-    indicates a bug.
+    For every trial the cleaned graph is regenerated and re-checked: the
+    cleaning scan must delete none of its edges, so it holds no K_{ell+1}
+    and no two K_ell sharing >= 3 vertices.  When the scan would delete an
+    edge, the graph is searched for a K_{ell+1}, which is reported before
+    the shared vertices.  A recorded witness must then be ell strictly
+    increasing vertices, pairwise adjacent in the cleaned graph.  A failure
+    raises InvariantBreach and indicates a bug.
     """
     recs = list(records)
     witnesses = 0
@@ -409,7 +391,7 @@ def verify_corollary_mode(records: Iterable[TrialRecord]) -> CorollaryReport:
             raise ValueError("verify_corollary_mode requires a clean_mode sweep")
         graph = gnp_generate(rec.n, rec.p, rec.seed).graph
         cleaned = clean_subgraph(graph, rec.ell)
-        breach = _clean_breach(cleaned, rec.ell) if rec.ell >= 4 else None
+        breach = _clean_breach(cleaned, rec.ell)
         if breach is not None:
             raise InvariantBreach(f"{breach} (seed {rec.seed})")
         if rec.found and rec.witness is not None:

@@ -97,14 +97,20 @@ def test_sweep_subcommand(tmp_path, capsys):
     }
     cpath = tmp_path / "cfg.json"
     cpath.write_text(json.dumps(config))
-    out = tmp_path / "out.csv"
-    jpath = tmp_path / "out.json"
-    code = main(["sweep", "--config", str(cpath), "--out", str(out),
-                 "--json", str(jpath)])
-    assert code == 0
-    assert out.exists() and jpath.exists()
-    assert (tmp_path / "out.summary.csv").exists()
-    assert len(out.read_text().splitlines()) == 1 + 6
+    # the summary sits beside the trial CSV, also when only a directory
+    # name holds a dot
+    (tmp_path / "run.d").mkdir()
+    for name, summary in [("out.csv", "out.summary.csv"),
+                          ("run.d/trials", "run.d/trials.summary.csv")]:
+        out = tmp_path / name
+        jpath = tmp_path / "out.json"
+        code = main(["sweep", "--config", str(cpath), "--out", str(out),
+                     "--json", str(jpath)])
+        assert code == 0
+        assert out.exists() and jpath.exists()
+        assert (tmp_path / summary).exists()
+        assert f"summary -> {tmp_path / summary}" in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 1 + 6
 
 
 def test_sweep_clean_mode_with_verify(tmp_path, capsys):

@@ -374,6 +374,17 @@ class TestHomDensity:
         f = random_weights(5, np.random.default_rng(2))
         assert hom_density(f, PatternGraph.from_edges(3, [])) == 1.0
 
+    def test_pattern_from_a_list_is_a_set(self):
+        # a repeated edge in a list must not count twice: this is the path
+        # 1-2-3, not a triangle, and its density on the path 1-2-3-4 is
+        # sum(deg^2) / 4^3 = 10 / 64
+        pattern = PatternGraph(3, [(1, 2), (1, 2), (2, 3)])
+        assert pattern == PatternGraph.path(3)
+        assert hash(pattern) == hash(PatternGraph.path(3))
+        assert pattern.edge_count == 2 and not pattern.is_complete()
+        f = WeightedGraph.indicator(OrderedGraph(4, [(1, 2), (2, 3), (3, 4)]))
+        assert hom_density(f, pattern) == pytest.approx(0.15625)
+
     def test_scaling_multiplicativity(self):
         rng = np.random.default_rng(4)
         f = random_weights(8, rng)

@@ -14,6 +14,7 @@ from ramseykit import (
     InvariantBreach,
     OrderedGraph,
     TrialRecord,
+    clean_subgraph,
     derive_seed,
     run_sweep,
     verify_corollary_mode,
@@ -69,6 +70,11 @@ class TestWilson:
             wilson_interval(5, 0)
         with pytest.raises(ValueError):
             wilson_interval(7, 5)
+        # a negative z would give lo > hi, and a NaN z the whole of [0, 1]
+        for z in (-1.96, -math.inf, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^z must"):
+                wilson_interval(3, 10, z=z)
+        assert wilson_interval(3, 10, z=0) == (0.3, 0.3)
 
 
 class TestDeriveSeed:
@@ -358,7 +364,7 @@ class TestCorollaryMode:
             pattern=rec.pattern, elapsed_ms=rec.elapsed_ms,
             witness=(1, 2, 3, 4),
         )
-        from ramseykit import clean_subgraph, gnp_generate
+        from ramseykit import gnp_generate
 
         cleaned = clean_subgraph(gnp_generate(rec.n, rec.p, rec.seed).graph, rec.ell)
         is_clique = all(
@@ -432,6 +438,9 @@ class TestCorollaryMode:
             expected = f"two K_{ell} share"
         else:
             expected = None
+        # cleaning and the audit share one rule: cleaning leaves a graph as
+        # it is exactly when the audit finds nothing to report
+        assert (clean_subgraph(graph, ell) is graph) == (expected is None)
         rec = unfound_clean_record(ell)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "clean_subgraph", lambda g, k: graph)
