@@ -63,9 +63,9 @@ def _adversary(text: str) -> AdversarySpec:
 
 
 class _InputError(Exception):
-    """A flag whose value parses but names an unreadable or malformed file,
-    or does not fit its input; ``main`` prints it as one line and exits
-    with status 2."""
+    """A flag whose value parses but names an unreadable or malformed file
+    or an output file in a missing directory, or does not fit its input;
+    ``main`` prints it as one line and exits with status 2."""
 
 
 def _read(flag: str, reader: Callable, path: str, *args):
@@ -75,6 +75,12 @@ def _read(flag: str, reader: Callable, path: str, *args):
         raise _InputError(f"argument {flag}: cannot read {path!r}: {exc.strerror}") from None
     except ValueError as exc:  # malformed content; the readers name the line
         raise _InputError(f"argument {flag}: {path!r}: {exc}") from None
+
+
+def _check_out_dir(flag: str, path: Optional[str]) -> None:
+    """Refuse an output path in a missing directory before any work is done."""
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise _InputError(f"argument {flag}: cannot write {path!r}: no such directory")
 
 
 def _read_config(path: str) -> ExperimentConfig:
@@ -90,6 +96,7 @@ def _print_witness(label: str, ell: int, witness: CanonicalWitness) -> None:
 
 
 def _cmd_find(args: argparse.Namespace) -> int:
+    _check_out_dir("--witness-out", args.witness_out)
     graph = _read("--graph", read_graph, args.graph)
     phi = _read("--colouring", read_colouring, args.colouring, graph)
     outside = [v for v in args.set or () if not 1 <= v <= graph.n]
@@ -117,6 +124,7 @@ def _cmd_find(args: argparse.Namespace) -> int:
 
 
 def _cmd_arrow(args: argparse.Namespace) -> int:
+    _check_out_dir("--witness-out", args.witness_out)
     graph = _read("--graph", read_graph, args.graph)
     query = ArrowQuery(ell=args.ell, r=args.colours)
     try:
@@ -156,6 +164,8 @@ def _cmd_er_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _check_out_dir("--out", args.out)  # the summary is written beside it
+    _check_out_dir("--json", args.json)
     config = _read("--config", _read_config, args.config)
     result = run_sweep(config, threads=args.threads)
     write_records_csv(result.records, args.out)

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .adversaries import AdversarySpec, _check_json_keys, _int_field, generate_colouring
-from .colouring import PatternTag
+from .colouring import STRICT_TAGS
 from .graphs import (OrderedGraph, _clean_scan, _finite, _write_lines, clean_subgraph,
                      enumerate_cliques, gnp_generate)
 from .search import (
@@ -54,10 +54,6 @@ SUMMARY_COLUMNS = ("ell", "n", "C", "p", "adversary", "trials", "successes",
                    "p_hat", "ci_lo", "ci_hi")
 
 _MASK64 = (1 << 64) - 1
-
-# Strict-tag precedence used when one label must summarise a witness.
-_TAG_PRECEDENCE = (PatternTag.MONOCHROMATIC, PatternTag.RAINBOW,
-                   PatternTag.MIN_COLOURED, PatternTag.MAX_COLOURED)
 
 
 class InvariantBreach(Exception):
@@ -274,8 +270,8 @@ def _run_trial(args: tuple[ExperimentConfig, int, int, float, int]) -> TrialReco
         outcome = search(phi, config.ell)
         found = outcome.found
         if found:
-            # a rainbow K_ell (ell >= 3) carries no other strict tag
-            pattern = next(t.value for t in _TAG_PRECEDENCE if t in outcome.witness.tags)
+            # a K_ell (ell >= 3) carries at most one strict tag
+            pattern = next(iter(outcome.witness.tags & STRICT_TAGS)).value
             witness = outcome.witness.vertices
     elapsed_ms = int(round((time.perf_counter() - start) * 1000))
 
@@ -377,12 +373,13 @@ def verify_corollary_mode(records: Iterable[TrialRecord]) -> CorollaryReport:
     """Re-audit a clean-mode sweep from its seeds.
 
     For every trial the cleaned graph is regenerated and re-checked: the
-    cleaning scan must delete none of its edges, so it holds no K_{ell+1}
-    and no two K_ell sharing >= 3 vertices.  When the scan would delete an
-    edge, the graph is searched for a K_{ell+1}, which is reported before
-    the shared vertices.  A recorded witness must then be ell strictly
-    increasing vertices, pairwise adjacent in the cleaned graph.  A failure
-    raises InvariantBreach and indicates a bug.
+    cleaning scan ``_clean_scan`` must delete none of its edges, so it holds
+    no K_{ell+1} and no two K_ell sharing >= 3 vertices.  As that scan also
+    cleaned the graph, this checks its fixed point and does not re-derive the
+    rule, which ``test_audit_matches_brute_force`` and the ``brute_clean``
+    tests in ``tests/test_graphs.py`` pin.  A recorded witness must be ell
+    strictly increasing vertices, pairwise adjacent in the cleaned graph.  A
+    failure raises InvariantBreach and indicates a bug.
     """
     recs = list(records)
     witnesses = 0

@@ -180,39 +180,31 @@ def arrows_mono(graph: OrderedGraph, query: ArrowQuery,
     coloured = [0] * len(clique_edges)
     nodes = 0
 
-    def place(e: int, c: int, trail: list) -> bool:
+    def place(e: int, c: int, forbidden: list[int]) -> bool:
         colour[e] = c
-        trail.append(("col", e))
         for k in edge_cliques[e]:
             counts[k][c] += 1
             coloured[k] += 1
-            trail.append(("cnt", k, c))
+        for k in edge_cliques[e]:
             if counts[k][c] == size:
                 return False
             if coloured[k] == size - 1 and counts[k][c] == size - 1:
                 # one edge left and every coloured edge is c: forbid c there
-                for f in clique_edges[k]:
-                    if colour[f] == -1:
-                        if avail[f] >> c & 1:
-                            avail[f] &= ~(1 << c)
-                            trail.append(("avail", f, c))
-                            if avail[f] == 0:
-                                return False
-                        break
+                f = next(f for f in clique_edges[k] if colour[f] == -1)
+                if avail[f] >> c & 1:
+                    avail[f] &= ~(1 << c)
+                    forbidden.append(f)
+                    if avail[f] == 0:
+                        return False
         return True
 
-    def undo(trail: list) -> None:
-        while trail:
-            entry = trail.pop()
-            if entry[0] == "col":
-                colour[entry[1]] = -1
-            elif entry[0] == "cnt":
-                _, k, c = entry
-                counts[k][c] -= 1
-                coloured[k] -= 1
-            else:
-                _, f, c = entry
-                avail[f] |= 1 << c
+    def undo(e: int, c: int, forbidden: list[int]) -> None:
+        colour[e] = -1
+        for k in edge_cliques[e]:
+            counts[k][c] -= 1
+            coloured[k] -= 1
+        for f in forbidden:
+            avail[f] |= 1 << c
 
     def pick() -> int:
         best, best_width = -1, r + 1
@@ -237,10 +229,10 @@ def arrows_mono(graph: OrderedGraph, query: ArrowQuery,
             nodes += 1
             if nodes > budget:
                 raise ResourceLimitError(nodes)
-            trail: list = []
-            if place(e, c, trail) and solve(max(used, c + 1)):
+            forbidden: list[int] = []
+            if place(e, c, forbidden) and solve(max(used, c + 1)):
                 return True
-            undo(trail)
+            undo(e, c, forbidden)
         return False
 
     if solve(0):

@@ -12,6 +12,7 @@ from ramseykit import (
     write_colouring,
     write_graph,
 )
+from ramseykit import cli
 from ramseykit.cli import main
 
 
@@ -195,6 +196,37 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert line == (f"ramseykit sweep: error: argument --config: "
                     f"cannot read {missing!r}: No such file or directory")
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("sweep", "--out"),
+    ("sweep", "--json"),
+    ("find", "--witness-out"),
+    ("arrow", "--witness-out"),
+])
+def test_output_in_missing_directory_exits_2(command, flag, coloured_files, tmp_path,
+                                            monkeypatch, capsys):
+    # refused before any input is read or any trial or search runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    for name in ("run_sweep", "find_canonical_copy", "arrows_mono"):
+        monkeypatch.setattr(cli, name, no_work)
+    gpath, cpath = coloured_files
+    config = tmp_path / "sweep.json"
+    config.write_text('{"ell": 4, "n_grid": [12], "c_grid": [1.0], "trials": 2, '
+                      '"master_seed": 1, "adversary": {"kind": "GreedyProper"}}')
+    missing = str(tmp_path / "nodir" / "out.txt")
+    argv = {  # a repeated flag keeps its last value, so --out may be given twice
+        "sweep": ["sweep", "--config", str(config), "--out", str(tmp_path / "trials.csv")],
+        "find": ["find", "--graph", str(gpath), "--colouring", str(cpath), "--ell", "3"],
+        "arrow": ["arrow", "--graph", str(gpath), "--ell", "3", "--colours", "2"],
+    }[command] + [flag, missing]
+    before = set(tmp_path.iterdir())
+    line = _input_error(argv, capsys)
+    assert line == (f"ramseykit {command}: error: argument {flag}: "
+                    f"cannot write {missing!r}: no such directory")
+    assert set(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("flag, text, message", [

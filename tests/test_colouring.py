@@ -155,6 +155,20 @@ class TestClassify:
             expected.add(PatternTag.MAX_COLOURED)
         assert classify_copy(phi, verts) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(3, 6), st.sampled_from(["free", "min", "max"]))
+    def test_at_most_one_strict_tag(self, data, ell, end):
+        # the sweep labels a witness by its only strict tag; colours are drawn
+        # freely, or from vertex labels by each edge's lower or upper end,
+        # which makes min- and max-coloured cliques likely
+        pairs = list(itertools.combinations(range(ell), 2))
+        if end == "free":
+            colours = data.draw(st.tuples(*[st.integers(0, 3)] * len(pairs)))
+        else:
+            labels = data.draw(st.tuples(*[st.integers(0, ell)] * ell))
+            colours = tuple(labels[i if end == "min" else j] for i, j in pairs)
+        assert len(_tags(colours, ell) & STRICT_TAGS) <= 1
+
 
 def reference_classify(colour_of, vertices):
     """The grid loops that _classify replaced, kept as its oracle: fill the

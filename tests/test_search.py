@@ -1,6 +1,10 @@
 import itertools
+import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ramseykit import (
     AdversarySpec,
@@ -23,7 +27,14 @@ from ramseykit import (
     witness_for,
 )
 from ramseykit.colouring import _tags
-from ramseykit.search import ExhaustiveArrowOutcome, SearchOutcome
+from ramseykit.graphs import bits
+from ramseykit.search import (
+    DEFAULT_NODE_BUDGET,
+    ArrowOutcome,
+    ExhaustiveArrowOutcome,
+    SearchOutcome,
+    _clique_edges,
+)
 
 
 def brute_arrows(graph, ell, r):
@@ -172,6 +183,118 @@ class TestFindRainbow:
                 assert out.witness.vertices == scan[0]
 
 
+def reference_arrows_mono(graph, query, budget=DEFAULT_NODE_BUDGET):
+    """arrows_mono as it was: each placement writes a tagged trail, one entry
+    per colour set, clique count and forbidden colour, which undo replays."""
+    m = graph.edge_count
+    clique_edges = _clique_edges(graph, query.ell)
+    if not clique_edges:
+        return ArrowOutcome(False, EdgeColouring._trusted(graph, [0] * m), 0)
+    edge_cliques = [[] for _ in range(m)]
+    for k, idxs in enumerate(clique_edges):
+        for e in idxs:
+            edge_cliques[e].append(k)
+    r = query.r
+    colour = [-1] * m
+    avail = [(1 << r) - 1] * m
+    size = len(clique_edges[0])
+    counts = [[0] * r for _ in clique_edges]
+    coloured = [0] * len(clique_edges)
+    nodes = 0
+
+    def place(e, c, trail):
+        colour[e] = c
+        trail.append(("col", e))
+        for k in edge_cliques[e]:
+            counts[k][c] += 1
+            coloured[k] += 1
+            trail.append(("cnt", k, c))
+            if counts[k][c] == size:
+                return False
+            if coloured[k] == size - 1 and counts[k][c] == size - 1:
+                for f in clique_edges[k]:
+                    if colour[f] == -1:
+                        if avail[f] >> c & 1:
+                            avail[f] &= ~(1 << c)
+                            trail.append(("avail", f, c))
+                            if avail[f] == 0:
+                                return False
+                        break
+        return True
+
+    def undo(trail):
+        while trail:
+            entry = trail.pop()
+            if entry[0] == "col":
+                colour[entry[1]] = -1
+            elif entry[0] == "cnt":
+                _, k, c = entry
+                counts[k][c] -= 1
+                coloured[k] -= 1
+            else:
+                _, f, c = entry
+                avail[f] |= 1 << c
+
+    def pick():
+        best, best_width = -1, r + 1
+        for e in range(m):
+            if colour[e] == -1:
+                width = avail[e].bit_count()
+                if width < best_width:
+                    best, best_width = e, width
+                    if width <= 1:
+                        break
+        return best
+
+    def solve(used):
+        nonlocal nodes
+        e = pick()
+        if e == -1:
+            return True
+        for c in bits(avail[e] & ((1 << min(r, used + 1)) - 1)):
+            nodes += 1
+            if nodes > budget:
+                raise ResourceLimitError(nodes)
+            trail = []
+            if place(e, c, trail) and solve(max(used, c + 1)):
+                return True
+            undo(trail)
+        return False
+
+    if solve(0):
+        return ArrowOutcome(False, EdgeColouring._trusted(graph, colour), nodes)
+    return ArrowOutcome(True, None, nodes)
+
+
+def arrow_or_budget(solver, graph, query, budget):
+    """The solver's outcome, or the node count at which it ran out of budget."""
+    try:
+        return solver(graph, query, budget)
+    except ResourceLimitError as exc:
+        return exc.nodes
+
+
+def milp_arrows(graph, ell):
+    """Independent oracle for the 2-colour arrow: one binary variable per edge
+    (its colour) and, for each K_ell, 1 <= sum <= C(ell, 2) - 1, so that no
+    K_ell is monochromatic; the graph arrows iff the program is infeasible."""
+    optimize = pytest.importorskip("scipy.optimize")
+    edges = graph.edges
+    rows = [[edges.index(pair) for pair in itertools.combinations(verts, 2)]
+            for verts in itertools.combinations(graph.vertices, ell)
+            if all(graph.has_edge(*pair) for pair in itertools.combinations(verts, 2))]
+    if not rows:
+        return False
+    a = np.zeros((len(rows), len(edges)))
+    for k, idxs in enumerate(rows):
+        a[k, idxs] = 1
+    res = optimize.milp(np.zeros(len(edges)), integrality=np.ones(len(edges)),
+                        bounds=optimize.Bounds(0, 1),
+                        constraints=optimize.LinearConstraint(a, 1, math.comb(ell, 2) - 1))
+    assert res.status in (0, 2), res.message  # solved, or proved infeasible
+    return res.status == 2
+
+
 class TestArrowsMono:
     def test_k6_arrows_two_colours(self):
         out = arrows_mono(OrderedGraph.complete(6), ArrowQuery(3, 2))
@@ -221,6 +344,36 @@ class TestArrowsMono:
             ArrowQuery(2, 2)
         with pytest.raises(ValueError):
             ArrowQuery(3, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(6, 12), st.floats(0.5, 0.85), st.integers(0, 2**32),
+           st.sampled_from([3, 4]), st.sampled_from([2, 3]),
+           st.sampled_from([5, 50, DEFAULT_NODE_BUDGET]))
+    @example(6, 1.0, 0, 3, 2, DEFAULT_NODE_BUDGET)  # K_6 arrows (K_3, K_3)
+    @example(9, 1.0, 0, 3, 2, 50)
+    def test_matches_trail_solver(self, n, p, seed, ell, r, budget):
+        # the decision, node count and certificate, or the node count at
+        # which the budget ran out, are those of the trail-replaying solver;
+        # above p = 0.85 a dense G(12, p) can take millions of nodes at ell = 4
+        graph = gnp_generate(n, p, seed).graph
+        query = ArrowQuery(ell, r)
+        assert (arrow_or_budget(arrows_mono, graph, query, budget)
+                == arrow_or_budget(reference_arrows_mono, graph, query, budget))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(5, 9), st.floats(0.7, 1.0), st.integers(0, 2**32),
+           st.sampled_from([3, 4]))
+    @example(6, 1.0, 0, 3)  # K_6 arrows (K_3, K_3), since R(3, 3) = 6
+    @example(9, 1.0, 0, 4)  # K_9 does not arrow (K_4, K_4), since R(4, 4) = 18
+    def test_decision_matches_milp(self, n, p, seed, ell):
+        # decisions only: the solvers' node counts are not comparable
+        graph = gnp_generate(n, p, seed).graph
+        out = arrows_mono(graph, ArrowQuery(ell, 2))
+        assert out.arrows == milp_arrows(graph, ell)
+        if not out.arrows:
+            assert out.witness.colours() <= {0, 1}
+            for verts in enumerate_cliques(graph, ell):
+                assert PatternTag.MONOCHROMATIC not in classify_copy(out.witness, verts)
 
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
