@@ -63,9 +63,9 @@ def _adversary(text: str) -> AdversarySpec:
 
 
 class _InputError(Exception):
-    """A flag whose value parses but names an unreadable or malformed file
-    or an output file in a missing directory, or does not fit its input;
-    ``main`` prints it as one line and exits with status 2."""
+    """A flag whose value parses but names an unreadable or malformed file or
+    an output path it cannot write, or does not fit its input; ``main``
+    prints it as one line and exits with status 2."""
 
 
 def _read(flag: str, reader: Callable, path: str, *args):
@@ -78,7 +78,9 @@ def _read(flag: str, reader: Callable, path: str, *args):
 
 
 def _check_out_dir(flag: str, path: Optional[str]) -> None:
-    """Refuse an output path in a missing directory before any work is done."""
+    """Refuse an output path that is a directory or in a missing one, before any work."""
+    if path is not None and os.path.isdir(path):
+        raise _InputError(f"argument {flag}: cannot write {path!r}: is a directory")
     if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
         raise _InputError(f"argument {flag}: cannot write {path!r}: no such directory")
 
@@ -164,12 +166,12 @@ def _cmd_er_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _check_out_dir("--out", args.out)  # the summary is written beside it
-    _check_out_dir("--json", args.json)
+    summary_path = os.path.splitext(args.out)[0] + ".summary.csv"
+    for flag, path in (("--out", args.out), ("--out", summary_path), ("--json", args.json)):
+        _check_out_dir(flag, path)
     config = _read("--config", _read_config, args.config)
     result = run_sweep(config, threads=args.threads)
     write_records_csv(result.records, args.out)
-    summary_path = os.path.splitext(args.out)[0] + ".summary.csv"
     write_summary_csv(result.summaries, summary_path)
     if args.json:
         write_json(result, args.json)

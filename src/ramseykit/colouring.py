@@ -62,11 +62,14 @@ class PatternTag(enum.Enum):
     NON_STRICT_MAX = "NonStrictMax"
 
 
+# bit k of a tag mask is the k-th PatternTag; _TAG_SETS[mask] lists the mask's tags
+_MONO, _RAINBOW, _MIN, _MAX, _NON_STRICT_MIN, _NON_STRICT_MAX = (1 << k for k in range(6))
+_STRICT = _MONO | _RAINBOW | _MIN | _MAX
+_TAG_SETS = tuple(frozenset(tag for k, tag in enumerate(PatternTag) if mask >> k & 1)
+                  for mask in range(64))
+
 #: The four canonical patterns proper; non-strict variants are bookkeeping.
-STRICT_TAGS = frozenset(
-    {PatternTag.MONOCHROMATIC, PatternTag.RAINBOW,
-     PatternTag.MIN_COLOURED, PatternTag.MAX_COLOURED}
-)
+STRICT_TAGS = _TAG_SETS[_STRICT]
 
 
 class EdgeColouring:
@@ -168,7 +171,8 @@ class _Rows(dict):
     come in lexicographic order, so row v holds only edges of the prefix
     whose first endpoint is at most v; a source whose colour for an edge
     depends only on earlier edges (greedy) is final on that prefix.  A
-    colour list is taken whole, as one slice, at construction.
+    colour list is taken whole, as one slice, at construction.  Each slice
+    is written through the flat matrix, at u (n+1) + v and v (n+1) + u.
     """
 
     def __init__(self, host: OrderedGraph, colours: Sequence[int] | np.ndarray | _Source) -> None:
@@ -184,10 +188,11 @@ class _Rows(dict):
     def _advance(self, end: int) -> None:
         start, host = self.filled, self.host
         if end > start:
-            us, vs = host._us[start:end], host._vs[start:end]
+            us, vs, width = host._us[start:end], host._vs[start:end], host.n + 1
             colours = np.asarray(self.source(start, end), dtype=np.int64)
-            self.matrix[us, vs] = colours
-            self.matrix[vs, us] = colours
+            flat = self.matrix.ravel()  # a view: the matrix is contiguous
+            flat[us * width + vs] = colours
+            flat[vs * width + us] = colours
             self.filled = end
 
     def drain(self) -> np.ndarray:
@@ -243,26 +248,26 @@ def _heads(ell: int) -> tuple[Callable, Callable, Callable]:
                  for index in (row_head, [j - 1 for _, j in pairs], heads))
 
 
-def _tags(colours: tuple[int, ...], ell: int) -> set[PatternTag]:
-    """The pattern tags of a K_ell with these colours, listed row by row."""
+def _tags(colours: tuple[int, ...], ell: int) -> int:
+    """The tag mask of a K_ell with these colours, listed row by row."""
     by_row, by_column, row_heads = _heads(ell)
-    tags: set[PatternTag] = set()
+    mask = 0
     distinct = len(set(colours))
     if distinct == 1:
-        tags.add(PatternTag.MONOCHROMATIC)
+        mask |= _MONO
     if distinct == len(colours):
-        tags.add(PatternTag.RAINBOW)
+        mask |= _RAINBOW
     # min pattern: the colour of {v_i, v_j} (i<j) may depend only on i
     if by_row(colours) == colours:
-        tags.add(PatternTag.NON_STRICT_MIN)
+        mask |= _NON_STRICT_MIN
         if len(set(row_heads(colours))) == ell - 1:
-            tags.add(PatternTag.MIN_COLOURED)
+            mask |= _MIN
     # max pattern: colour may depend only on j; row 0 lists the column heads
     if by_column(colours) == colours:
-        tags.add(PatternTag.NON_STRICT_MAX)
+        mask |= _NON_STRICT_MAX
         if len(set(colours[:ell - 1])) == ell - 1:
-            tags.add(PatternTag.MAX_COLOURED)
-    return tags
+            mask |= _MAX
+    return mask
 
 
 def classify_copy(phi: EdgeColouring, vertices: Sequence[int]) -> set[PatternTag]:
@@ -273,14 +278,14 @@ def classify_copy(phi: EdgeColouring, vertices: Sequence[int]) -> set[PatternTag
     the backward implication.  Raises NotAClique if an edge is missing.
     """
     verts = tuple(vertices)
-    return _tags(_clique_colours(phi, verts), len(verts))
+    return set(_TAG_SETS[_tags(_clique_colours(phi, verts), len(verts))])
 
 
 def witness_for(phi: EdgeColouring, vertices: Sequence[int]) -> CanonicalWitness:
     """Package a clique tuple with its tags and edge-colour evidence."""
     verts = tuple(vertices)
     colours = _clique_colours(phi, verts)
-    return CanonicalWitness(verts, frozenset(_tags(colours, len(verts))),
+    return CanonicalWitness(verts, _TAG_SETS[_tags(colours, len(verts))],
                             tuple(zip(combinations(verts, 2), colours)))
 
 

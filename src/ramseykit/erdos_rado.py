@@ -90,6 +90,7 @@ class ErConstants:
             raise ValueError("length must be >= 1")
 
     @classmethod
+    @lru_cache(maxsize=16)  # one frozen instance per ell
     def for_clique(cls, ell: int) -> "ErConstants":
         return cls(ell=ell, delta=1.0 / (4 * ell**3), length=2 * (ell - 2) ** 2 + 2)
 
@@ -180,7 +181,9 @@ def _sequence(phi: EdgeColouring, consts: ErConstants,
     """build_sequence, or None as soon as fewer than ell vertices survive and
     fewer than the steps left + 1.  Each step drops its own vertex and keeps
     at least one, so the run can then only end in a bounded set of fewer
-    than ell vertices, which er_find hands to exhaustive search."""
+    than ell vertices, which er_find hands to exhaustive search.  Each step
+    sorts its block's keys in place (the first a copy of the whole key
+    matrix) and decodes the best run with Python ints."""
     n, delta, matrix = phi.host.n, consts.delta, phi._matrix
     # label phi(vw) in colour order, with -1 off the edges: by its colour
     # up to n^2, else by its dense rank - 1, so palette[label + 1] is phi(vw)
@@ -196,12 +199,13 @@ def _sequence(phi: EdgeColouring, consts: ErConstants,
     while len(steps) < consts.length:
         # the block's keys sorted: the diagonal's -1s, then one run of equal
         # keys per (v, c, dir) degree, then row and column 0's sentinels
-        flat = np.sort(keys.take(block, 0).take(block, 1) if steps else keys, axis=None)
+        flat = keys.take(block, 0).take(block, 1).ravel() if steps else keys.flatten()
+        flat.sort()
         s = len(block) - 1
         ends = (flat[1:] != flat[:-1]).nonzero()[0]
         counts = ends[1:] - ends[:-1]  # the runs after the diagonal's: none if s = 1
-        best = counts.argmax() if s > 1 else None  # the first maximum has the smallest key
-        if best is None or not counts[best] > delta * s / 2.0:
+        best = int(counts.argmax()) if s > 1 else -1  # the first maximum has the smallest key
+        if best < 0 or not int(counts[best]) > delta * s / 2.0:
             return BoundedSubsetSignal(tuple(block[1:].tolist()), delta)
         key = int(flat[ends[best + 1]])
         v, rest = divmod(key, span)

@@ -10,10 +10,10 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .colouring import (
-    STRICT_TAGS,
+    _RAINBOW,
+    _STRICT,
     CanonicalWitness,
     EdgeColouring,
-    PatternTag,
     _tags,
     witness_for,
 )
@@ -95,8 +95,8 @@ class ExhaustiveArrowOutcome:
 
 
 def _first_clique(phi: EdgeColouring, ell: int, within: Optional[Iterable[int]],
-                  wanted: frozenset[PatternTag]) -> SearchOutcome:
-    """First clique (lexicographic order) with a tag in ``wanted``.
+                  wanted: int) -> SearchOutcome:
+    """First clique (lexicographic order) with a tag in the mask ``wanted``.
 
     Every strict tag of a K_ell is a tag of each k-vertex prefix, k >= 2, so
     a prefix with no wanted tag is abandoned and the first streamed tuple is
@@ -129,14 +129,14 @@ def find_canonical_copy(phi: EdgeColouring, ell: int,
                         within: Optional[Iterable[int]] = None) -> SearchOutcome:
     """First clique (lexicographic order) classifying with a strict canonical
     tag: monochromatic, rainbow, min-coloured, or max-coloured."""
-    return _first_clique(phi, ell, within, STRICT_TAGS)
+    return _first_clique(phi, ell, within, _STRICT)
 
 
 def find_rainbow_copy(phi: EdgeColouring, ell: int,
                       within: Optional[Iterable[int]] = None) -> SearchOutcome:
     """First rainbow clique (lexicographic order); a prefix whose edges
     repeat a colour is abandoned."""
-    return _first_clique(phi, ell, within, frozenset({PatternTag.RAINBOW}))
+    return _first_clique(phi, ell, within, _RAINBOW)
 
 
 def _clique_edges(graph: OrderedGraph, ell: int) -> list[list[int]]:
@@ -280,6 +280,6 @@ def canonical_arrow_exhaustive(graph: OrderedGraph, ell: int) -> ExhaustiveArrow
     # each clique's colours, row by row, read off a string of edge colours
     getters = [itemgetter(*idxs) for idxs in _clique_edges(graph, ell)]
     for checked, rgs in enumerate(restricted_growth_strings(m), 1):  # at least one string
-        if not any(_tags(get(rgs), ell) & STRICT_TAGS for get in getters):
+        if not any(_tags(get(rgs), ell) & _STRICT for get in getters):
             return ExhaustiveArrowOutcome(False, checked, EdgeColouring._trusted(graph, rgs))
     return ExhaustiveArrowOutcome(True, checked, None)

@@ -198,15 +198,10 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("sweep", "--out"),
-    ("sweep", "--json"),
-    ("find", "--witness-out"),
-    ("arrow", "--witness-out"),
-])
-def test_output_in_missing_directory_exits_2(command, flag, coloured_files, tmp_path,
-                                            monkeypatch, capsys):
-    # refused before any input is read or any trial or search runs
+def _refused_output(command, flag, target, coloured_files, tmp_path, monkeypatch, capsys):
+    """Run ``command`` with ``flag`` set to ``target`` and return its one
+    error line, checking that no trial or search ran and no file was
+    written."""
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the output path was checked")
 
@@ -216,17 +211,57 @@ def test_output_in_missing_directory_exits_2(command, flag, coloured_files, tmp_
     config = tmp_path / "sweep.json"
     config.write_text('{"ell": 4, "n_grid": [12], "c_grid": [1.0], "trials": 2, '
                       '"master_seed": 1, "adversary": {"kind": "GreedyProper"}}')
-    missing = str(tmp_path / "nodir" / "out.txt")
     argv = {  # a repeated flag keeps its last value, so --out may be given twice
         "sweep": ["sweep", "--config", str(config), "--out", str(tmp_path / "trials.csv")],
         "find": ["find", "--graph", str(gpath), "--colouring", str(cpath), "--ell", "3"],
         "arrow": ["arrow", "--graph", str(gpath), "--ell", "3", "--colours", "2"],
-    }[command] + [flag, missing]
-    before = set(tmp_path.iterdir())
+    }[command] + [flag, target]
+
+    def listing():  # every path under tmp_path, one level into directories
+        return {path: path.is_dir() and list(path.iterdir()) for path in tmp_path.iterdir()}
+
+    before = listing()
     line = _input_error(argv, capsys)
+    assert listing() == before
+    return line
+
+
+OUTPUT_FLAGS = [
+    ("sweep", "--out"),
+    ("sweep", "--json"),
+    ("find", "--witness-out"),
+    ("arrow", "--witness-out"),
+]
+
+
+@pytest.mark.parametrize("command, flag", OUTPUT_FLAGS)
+def test_output_in_missing_directory_exits_2(command, flag, coloured_files, tmp_path,
+                                            monkeypatch, capsys):
+    # refused before any input is read or any trial or search runs
+    missing = str(tmp_path / "nodir" / "out.txt")
+    line = _refused_output(command, flag, missing, coloured_files, tmp_path, monkeypatch, capsys)
     assert line == (f"ramseykit {command}: error: argument {flag}: "
                     f"cannot write {missing!r}: no such directory")
-    assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command, flag", OUTPUT_FLAGS)
+def test_output_that_is_a_directory_exits_2(command, flag, coloured_files, tmp_path,
+                                            monkeypatch, capsys):
+    (tmp_path / "out.d").mkdir()
+    target = str(tmp_path / "out.d")
+    line = _refused_output(command, flag, target, coloured_files, tmp_path, monkeypatch, capsys)
+    assert line == (f"ramseykit {command}: error: argument {flag}: "
+                    f"cannot write {target!r}: is a directory")
+
+
+def test_summary_path_that_is_a_directory_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
+    (tmp_path / "trials.summary.csv").mkdir()
+    summary = str(tmp_path / "trials.summary.csv")
+    line = _input_error(["sweep", "--config", str(tmp_path / "missing.json"),
+                         "--out", str(tmp_path / "trials.csv")], capsys)
+    assert line == (f"ramseykit sweep: error: argument --out: "
+                    f"cannot write {summary!r}: is a directory")
 
 
 @pytest.mark.parametrize("flag, text, message", [

@@ -39,8 +39,8 @@ from ramseykit import (
     witness_for,
     write_colouring,
 )
-from ramseykit.colouring import _tags
-from ramseykit.search import _clique_edges
+from ramseykit.colouring import _STRICT, _TAG_SETS, _tags
+from ramseykit.search import _clique_edges, _first_clique
 
 
 def triangle(c12, c13, c23):
@@ -167,7 +167,7 @@ class TestClassify:
         else:
             labels = data.draw(st.tuples(*[st.integers(0, ell)] * ell))
             colours = tuple(labels[i if end == "min" else j] for i, j in pairs)
-        assert len(_tags(colours, ell) & STRICT_TAGS) <= 1
+        assert len(_TAG_SETS[_tags(colours, ell)] & STRICT_TAGS) <= 1
 
 
 def reference_classify(colour_of, vertices):
@@ -246,7 +246,7 @@ class TestClassifyOracle:
                 positions = _clique_edges(host, k)
                 assert len(positions) == len(cliques)
                 for tup, idxs in zip(cliques, positions):
-                    assert _tags(itemgetter(*idxs)(colours), k) == reference_classify(
+                    assert _TAG_SETS[_tags(itemgetter(*idxs)(colours), k)] == reference_classify(
                         lambda u, v: by_edge.get((u, v)), tup)
             for tup in tuples:
                 want = outcome(reference_classify, phi.get, tup)
@@ -256,6 +256,39 @@ class TestClassifyOracle:
                 if isinstance(witness, CanonicalWitness):
                     assert witness.tags == want
                     assert all(type(c) is int for _, c in witness.evidence)
+
+
+    def test_mask_bits_follow_pattern_tag_order(self):
+        assert [_TAG_SETS[1 << k] for k in range(6)] == [frozenset({t}) for t in PatternTag]
+        assert _TAG_SETS[_STRICT] == STRICT_TAGS == {
+            PatternTag.MONOCHROMATIC, PatternTag.RAINBOW,
+            PatternTag.MIN_COLOURED, PatternTag.MAX_COLOURED}
+        assert _TAG_SETS[0] == frozenset() and _TAG_SETS[63] == frozenset(PatternTag)
+        assert all(_TAG_SETS[a | b] == _TAG_SETS[a] | _TAG_SETS[b]
+                   for a in range(64) for b in range(64))
+
+    @pytest.mark.parametrize("ell", [3, 4, 5])
+    @pytest.mark.parametrize("palette", [1, 2, 3, 6])
+    def test_masks_and_pruning_match_grid_loops(self, ell, palette):
+        # the mask of every K_ell names the grid loops' tags, and a search
+        # pruned by each wanted mask returns the first K_ell, in
+        # lexicographic order, whose tags meet that mask
+        for seed in range(4):
+            host = gnp_generate(8, 0.8, seed).graph
+            phi = generate_colouring(host, AdversarySpec("RandomR", r=palette, seed=seed))
+            cliques = list(enumerate_cliques(host, ell))
+            tags = [reference_classify(phi.get, tup) for tup in cliques]
+            for tup, want in zip(cliques, tags):
+                colours = tuple(phi.colour(u, w) for u, w in itertools.combinations(tup, 2))
+                assert _TAG_SETS[_tags(colours, ell)] == want
+            for wanted in range(1, 64):
+                first = next((tup for tup, t in zip(cliques, tags) if t & _TAG_SETS[wanted]),
+                             None)
+                got = _first_clique(phi, ell, None, wanted)
+                assert got.found == (first is not None)
+                if first is not None:
+                    assert got.witness.vertices == first
+                    assert got.witness.tags == reference_classify(phi.get, first)
 
 
 class TestColourDegrees:

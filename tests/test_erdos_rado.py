@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramseykit import (
@@ -74,6 +74,41 @@ def reference_build_sequence(phi, consts):
                      and (v < w) == (direction == "<")]
         steps.append(SequenceStep(v, c, direction))
         trace.append(tuple(surviving))
+    return NeighbourhoodSequence(tuple(steps), tuple(trace), delta, n, phi)
+
+
+def previous_sequence(phi, consts, ell=0):
+    """_sequence as it was before each step sorted its block in place and
+    decoded with Python ints, kept as its oracle."""
+    n, delta, matrix = phi.host.n, consts.delta, phi._matrix
+    palette, labels = None, matrix
+    if int(matrix.max()) > n * n:
+        palette, labels = np.unique(matrix, return_inverse=True)
+        labels = labels.reshape(matrix.shape) - 1
+    keys = labels * 2 + _key_base(n)
+    span = 2 * (n * n + 2)
+    block = np.arange(n + 1)
+    steps, trace = [], []
+    while len(steps) < consts.length:
+        flat = np.sort(keys.take(block, 0).take(block, 1) if steps else keys, axis=None)
+        s = len(block) - 1
+        ends = (flat[1:] != flat[:-1]).nonzero()[0]
+        counts = ends[1:] - ends[:-1]
+        best = counts.argmax() if s > 1 else None
+        if best is None or not counts[best] > delta * s / 2.0:
+            return BoundedSubsetSignal(tuple(block[1:].tolist()), delta)
+        key = int(flat[ends[best + 1]])
+        v, rest = divmod(key, span)
+        colour = rest // 2 - 1 if palette is None else int(palette[rest // 2])
+        kept = keys[v].take(block) == key
+        kept[0] = True
+        block = block[kept]
+        surviving = tuple(block[1:].tolist())
+        steps.append(SequenceStep(v, colour, ">" if rest % 2 else "<"))
+        trace.append(surviving)
+        assert len(surviving) > (delta / 2.0) ** len(steps) * n
+        if len(surviving) < ell and len(surviving) <= consts.length - len(steps):
+            return None
     return NeighbourhoodSequence(tuple(steps), tuple(trace), delta, n, phi)
 
 
@@ -227,6 +262,43 @@ def random_r_hosts(draw):
     if draw(st.booleans()):
         phi = EdgeColouring._trusted(host, [c + 2**62 for _, c in phi.items()])
     return phi
+
+
+@st.composite
+def sequence_hosts(draw):
+    """K_n, 3 <= n <= 40, under RandomR with r in {2, 3, 5, 30, n^2 + 1}
+    (colour n^2, when drawn, takes the dense-rank path) or under Injective,
+    MinOrder or MaxOrder."""
+    n = draw(st.integers(3, 40))
+    kind = draw(st.sampled_from(["RandomR", "Injective", "MinOrder", "MaxOrder"]))
+    if kind == "RandomR":
+        spec = AdversarySpec(kind, r=draw(st.sampled_from([2, 3, 5, 30, n * n + 1])),
+                             seed=draw(st.integers(0, 2**32)))
+    else:
+        spec = AdversarySpec(kind)
+    return generate_colouring(OrderedGraph.complete(n), spec)
+
+
+class TestSequenceStep:
+    @settings(max_examples=300, deadline=None)
+    @given(sequence_hosts(), st.sampled_from([3, 4, 5]), st.one_of(st.none(), ER_CONSTANTS))
+    @example(  # every degree is 1, and 1 is the threshold: not a step
+        generate_colouring(OrderedGraph.complete(11), AdversarySpec("Injective")), 3,
+        ErConstants(ell=3, delta=0.2, length=4))
+    def test_matches_previous_step(self, phi, ell, consts):
+        # the constants of K_ell, or drawn ones whose thresholds can be whole
+        consts = consts or ErConstants.for_clique(ell)
+        for cut in (0, ell):
+            want = previous_sequence(phi, consts, cut)
+            got = _sequence(phi, consts, cut)
+            if want is None:
+                assert got is None
+            else:
+                assert_same_outcome(got, want)
+
+    def test_constants_are_built_once_per_ell(self):
+        assert ErConstants.for_clique(4) is ErConstants.for_clique(4)
+        assert ErConstants.for_clique(4) == ErConstants(4, 1 / 256, 10)
 
 
 class TestErFindOracle:

@@ -189,6 +189,37 @@ class TestLazyGreedy:
             assert phi._rows.source is None and phi._rows.filled == graph.edge_count
 
 
+class TestFlatFill:
+    """The row store writes each slice through the flat matrix; the result
+    is the 2-D fill at (u, v) and (v, u)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=graphs(), seed=st.integers(0, 2**32),
+           top=st.sampled_from([1, 5, 2**31, 2**63]))
+    def test_matrix_matches_two_dimensional_fill(self, graph, seed, top):
+        colours = np.random.default_rng(seed).integers(0, top, size=graph.edge_count,
+                                                       dtype=np.int64)
+        want = colour_matrix(graph, colours)
+        for phi in (EdgeColouring._trusted(graph, colours),
+                    EdgeColouring._trusted(graph, colours.tolist()),
+                    EdgeColouring(graph, dict(zip(graph.edges, colours.tolist())))):
+            assert np.array_equal(phi._matrix, want)
+            assert list(phi.items()) == list(zip(graph.edges, colours.tolist()))
+            assert phi.colours() == set(colours.tolist())
+            back = pickle.loads(pickle.dumps(phi))
+            assert back == phi and list(back.items()) == list(phi.items())
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), graph=graphs())
+    def test_rows_read_before_draining_are_final(self, data, graph):
+        phi = lazy_greedy(graph)
+        order = data.draw(st.lists(st.integers(0, graph.n), max_size=graph.n + 1))
+        read = {v: list(phi._rows[v]) for v in order}
+        phi._rows.drain()
+        assert all(phi._matrix[v].tolist() == row for v, row in read.items())
+        assert np.array_equal(phi._matrix, colour_matrix(graph, eager_greedy(graph)))
+
+
 class TestRainbowSearchReads:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), graph=graphs(), ell=st.sampled_from([3, 4, 5]),

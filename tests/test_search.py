@@ -26,7 +26,7 @@ from ramseykit import (
     restricted_growth_strings,
     witness_for,
 )
-from ramseykit.colouring import _tags
+from ramseykit.colouring import _TAG_SETS, _tags
 from ramseykit.graphs import bits
 from ramseykit.search import (
     DEFAULT_NODE_BUDGET,
@@ -375,6 +375,17 @@ class TestArrowsMono:
             for verts in enumerate_cliques(graph, ell):
                 assert PatternTag.MONOCHROMATIC not in classify_copy(out.witness, verts)
 
+    def test_paley_colouring_of_k17_has_no_monochromatic_k4(self):
+        # uv is colour 1 iff v - u is a quadratic residue mod 17 (the Paley
+        # graph, self-complementary), so R(4, 4) > 17
+        residues = {x * x % 17 for x in range(1, 17)}
+        host = OrderedGraph.complete(17)
+        phi = EdgeColouring(host, {(u, v): int((v - u) % 17 in residues) for u, v in host.edges})
+        k4s = list(enumerate_cliques(host, 4))
+        assert len(k4s) == math.comb(17, 4) == 2380
+        assert not any(PatternTag.MONOCHROMATIC in classify_copy(phi, t) for t in k4s)
+        assert milp_arrows(host, 4) is False
+
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -410,7 +421,7 @@ def reference_canonical_arrow_exhaustive(graph, ell):
         for e, c in zip(edges, rgs):
             assignment[e] = c
         hit = any(
-            _tags(tuple(lookup(u, w) for u, w in itertools.combinations(tup, 2)), ell)
+            _TAG_SETS[_tags(tuple(lookup(u, w) for u, w in itertools.combinations(tup, 2)), ell)]
             & STRICT_TAGS
             for tup in cliques
         )
