@@ -230,17 +230,101 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
     return rows.T @ _subset_bits(rows.shape[0])
 
 
+# the seed block: up to 128 high-block columns with the largest separable
+# sums, against as many of the low-block ones as make 64 x 128 pairs
+_SEED_HI = 128
+_SEED_PAIRS = 64 * _SEED_HI
+
+
+def _lifted(s: np.ndarray, side: int) -> np.ndarray:
+    """The table with a row of ones beside each of its rows: [s, 1], n x k x 2,
+    for ``side`` 0 and [1; s], n x 2 x k, for ``side`` 1.
+
+    ``_lifted(s_hi, 0) @ _lifted(s_lo, 1)`` holds s_hi[w, h] + s_lo[w, b] at
+    [w, h, b], rounded once, as ``np.add`` rounds it: both products are exact.
+    On a block narrow both ways the batched matmul runs several times faster
+    than a broadcast add, which numpy buffers.
+    """
+    n, k = s.shape
+    out = np.ones((n, k, 2) if side == 0 else (n, 2, k), s.dtype)  # C order, as BLAS wants
+    out[(..., 0) if side == 0 else (slice(None), 1)] = s
+    return out
+
+
+def _block(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The first prod(shape) entries of ``buf`` as a C-order array of that shape."""
+    return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
+def _tail(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The last prod(shape) entries of ``buf`` as a C-order array of that shape."""
+    return buf.reshape(-1)[buf.size - math.prod(shape):].reshape(shape)
+
+
+def _pair_max(x: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray) -> float:
+    """max(pos, neg) over the n x |h| x |b| block ``x`` of column sums
+    s_lo[w, b] + s_hi[w, h], in float64; ``x`` is overwritten.
+
+    Each pair adds its n rows one by one, in order, as the single-chunk
+    ``sum(axis=0)`` over n contiguous slabs does; on a small block numpy's
+    sum may add the rows pairwise, which rounds differently.
+    """
+    np.maximum(x, 0.0, out=x)
+    pos = x[0]
+    for row in x[1:]:
+        pos += row
+    neg = pos - (t_lo + t_hi[:, None])
+    return max(0.0, float(pos.max()), float(neg.max()))
+
+
+def _separable_bounds(s_lo: np.ndarray, s_hi: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray,
+                      buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Per-column terms of a bound on every column pair: returns (a, c, slack,
+    shift) with 2^shift max(pos, neg) <= a[b] + c[h] + slack for every
+    low-block column b and high-block column h; ``buf`` is float64 scratch
+    at least as large as either table.
+
+    With t as one more table row, 2 max(pos, neg) = sum |s_lo[w, b] + s_hi[w, h]|
+    over the n + 1 rows, at most A[b] + C[h], where A[b] = sum_w |s_lo[w, b]|
+    + |t_lo[b]| and C[h] is alike.  a and c are A and C scaled by 2^e
+    (e = shift - 1), so that the largest sum over w lies in [2^99, 2^100):
+    no a[b] + c[h] overflows, and no normal table entry scales to a subnormal.
+
+    Why the slack covers every rounding (u = 2^-53, n <= 22).  By the
+    float64 bound in ``_chunk_bounds``, 2 max(pos, neg) <= (1 + 8(n+1)u)
+    (A[b] + C[h]).  Each sum over w is at least (1 - nu) times its exact
+    value, each ldexp is exact or, below 2^-1022, off by at most 2^-1075,
+    and the add of the tail loses a factor (1 + u).  So 2^shift max(pos, neg)
+    <= (1 + 2^-45)(a[b] + c[h]) + 2^-1070, and slack = 2^-40 (max a + max c)
+    + 2^-100 leaves room for the two roundings of the threshold
+    2^shift best - (max c over a chunk + slack) that ``_best_first`` forms:
+    best is one pair's value, so 2^shift best is below (1 + 2^-45)
+    (max a + max c).  ldexp(best, shift) is exact when it is a normal
+    float; otherwise it is below 2^-1022 < slack, the threshold is negative
+    and every column stays.
+    """
+    sums = [np.abs(s, out=buf.reshape(-1)[:s.size].reshape(s.shape)).sum(axis=0)
+            for s in (s_lo, s_hi)]
+    e = 100 - math.frexp(max(float(s.max()) for s in sums))[1]
+    a, c = (np.ldexp(s, e) + np.ldexp(np.abs(t), e) for s, t in zip(sums, (t_lo, t_hi)))
+    return a, c, 2.0**-40 * (float(a.max()) + float(c.max())) + 2.0**-100, e + 1
+
+
 def _chunk_bounds(s_lo: np.ndarray, s_hi: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray,
-                  chunk: int, buf: np.ndarray) -> tuple[np.ndarray, int]:
+                  prefix: np.ndarray, chunk: int, buf: np.ndarray) -> tuple[np.ndarray, int]:
     """Upper bounds on what ``cutnorm_exact`` finds in each chunk of ``chunk``
-    high-block columns, from one float32 pass; returns (bounds, shift), each
-    bound at least 2^shift * max(pos, neg) over its chunk.
+    high-block columns against the first ``prefix[i]`` low-block columns of
+    ``s_lo``, from one float32 pass; returns (bounds, shift), each bound at
+    least 2^shift * max(pos, neg) over its pairs (0 for an empty prefix).
 
     With t as one more table row, sum_w |s_lo[w, b] + s_hi[w, h]| over the
     n + 1 rows is sum |s| + |sum s| = 2 max(pos, neg).  The tables are scaled
     by 2^e (e = shift - 1) before the float32 cast, so the largest entry lies
     in [2^99, 2^100).  ``buf`` is the kernel's n x chunk x 2^lo float64
-    buffer, reused as float32 scratch.
+    buffer, reused as float32 scratch: chunks go longest prefix first, as
+    many at a time as fill one chunk's chunk x 2^lo pairs, so that narrow
+    prefixes share one pass.  ``s_lo`` may lie in ``buf``: it is read in
+    full before ``buf`` is written.
 
     Why the slack covers every rounding.  Work in units of 2^-e (relative
     errors do not depend on the scale).  For one column pair (b, h) let
@@ -264,38 +348,89 @@ def _chunk_bounds(s_lo: np.ndarray, s_hi: np.ndarray, t_lo: np.ndarray, t_hi: np
     the float64 rounding of S, of the slack and of its addition to F, and a
     BLAS that flushes subnormal float32 values to zero (each below 2^-126).
     The kernel skips a chunk only when its bound is at most 2^shift * best,
-    and the absolute term keeps every bound above 2^-1022, so that
+    and the absolute term keeps every nonzero bound above 2^-1022, so that
     comparison only succeeds where ldexp(best, shift) is a normal float,
-    hence exact.  All-zero tables skip the pass: every bound is then 0.
+    hence exact, or the bound is 0.  All-zero tables skip the pass: every
+    bound is then 0.
     """
     n = s_lo.shape[0]
-    n_hi = s_hi.shape[1]
-    width = s_lo.shape[1]
     peaks = [np.maximum(s.max(axis=-1), -s.min(axis=-1)) for s in (s_lo, t_lo, s_hi, t_hi)]
     peak = max(float(p.max()) for p in peaks)
+    bounds = np.zeros(prefix.size)
     if peak == 0.0:
-        return np.zeros(n_hi // chunk), 0  # zero tables: every chunk's maximum is 0
+        return bounds, 0  # zero tables: every chunk's maximum is 0
     # the largest scaled entry lies in [2^99, 2^100), so float32 sums of
     # 2(n + 1) <= 46 of them stay far below 2^128
     e = 100 - math.frexp(peak)[1]
     slack = (n + 4) * (2.0**-22 * math.ldexp(float(sum(p.sum() for p in peaks)), e) + 2.0**-100)
-    a = np.empty((n + 1, width), np.float32)
-    c = np.empty((n + 1, n_hi), np.float32)
+    a = np.empty((n + 1, s_lo.shape[1]), np.float32)
+    c = np.empty((n + 1, s_hi.shape[1]), np.float32)
     for table, s, t in ((a, s_lo, t_lo), (c, s_hi, t_hi)):
         np.ldexp(s, e, out=table[:n])
         np.ldexp(t, e, out=table[n])
-    # n float64 slabs hold n + 1 float32 ones with room to spare
-    work = buf.reshape(-1).view(np.float32)[:(n + 1) * chunk * width].reshape(n + 1, chunk, width)
-    rows = work.reshape(n + 1, -1)
     ones = np.ones(n + 1, np.float32)
-    total = np.empty(chunk * width, np.float32)
-    bounds = np.empty(n_hi // chunk)
-    for i in range(bounds.size):
-        np.add(a[:, None, :], c[:, i * chunk:(i + 1) * chunk, None], out=work)
+    by_length = np.argsort(-prefix, kind="stable")[:np.count_nonzero(prefix)]
+    k = 0
+    while k < by_length.size:
+        width = int(prefix[by_length[k]])
+        ids = by_length[k:k + max(1, buf[0].size // (chunk * width))]
+        k += ids.size
+        hs = (ids[:, None] * chunk + np.arange(chunk)).ravel()
+        # n float64 slabs hold n + 1 float32 ones with room to spare
+        work = buf.reshape(-1).view(np.float32)[:(n + 1) * hs.size * width]
+        work = work.reshape(n + 1, hs.size, width)
+        np.add(a[:, None, :width], c[:, hs, None], out=work)
         np.abs(work, out=work)
-        np.matmul(ones, rows, out=total)  # sums the rows about 3x faster than np.sum
-        bounds[i] = total.max()
-    return bounds + slack, e + 1
+        total = (ones @ work.reshape(n + 1, -1)).reshape(ids.size, chunk, width)
+        # a chunk's columns past its own prefix only pad the batch
+        total = np.where(np.arange(width) < prefix[ids, None, None], total, 0.0)
+        bounds[ids] = total.max(axis=(1, 2)) + slack
+    return bounds, e + 1
+
+
+def _best_first(s_lo: np.ndarray, s_hi: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray,
+                buf: np.ndarray) -> float:
+    """max(pos, neg) over every column pair, when the high-block columns
+    span more than one chunk of ``buf``'s n x chunk x 2^lo; see
+    ``cutnorm_exact``."""
+    n, chunk = buf.shape[:2]
+    a, c, slack, shift = _separable_bounds(s_lo, s_hi, t_lo, t_hi, buf)
+    order = np.argsort(-a)
+    top = np.argsort(-c)[:_SEED_HI]
+    if a[order[0]] == c[top[0]] == 0.0:
+        return 0.0  # zero tables
+    seed = order[:_SEED_PAIRS // top.size]
+    x = np.matmul(_lifted(s_hi.take(top, axis=1), 0), _lifted(s_lo.take(seed, axis=1), 1),
+                  out=_block(buf, n, top.size, seed.size))
+    best = _pair_max(x, t_lo[seed], t_hi[top])
+    # in chunk i, low-block column b can beat best only if
+    # a[b] > 2^shift best - reach[i]; a[order] falls, so those b are a prefix.
+    # When the seed took every high-block column, its low-block ones are done.
+    reach = c.reshape(-1, chunk).max(axis=1) + slack
+    falling = -a[order]
+    done = seed.size if top.size == c.size else 0
+    prefix = np.maximum(np.searchsorted(falling, reach - math.ldexp(best, shift)) - done, 0)
+    width = int(prefix.max())
+    if not width:
+        return best
+    # the prefix's columns, gathered into the tail of buf: "clip" lets take
+    # write in place, and every index is in range
+    cols = order[done:done + width]
+    prefix_lo = np.take(s_lo, cols, axis=1, out=_tail(buf, n, width), mode="clip")
+    bounds, screen = _chunk_bounds(prefix_lo, s_hi, t_lo[cols], t_hi, prefix, chunk, buf)
+    for i in np.argsort(-bounds, kind="stable"):
+        if bounds[i] <= math.ldexp(best, screen):
+            break
+        stop = int(np.searchsorted(falling, reach[i] - math.ldexp(best, shift)))
+        hs = slice(i * chunk, (i + 1) * chunk)
+        # at most half the low-block columns at a time, so that the block and
+        # the gathered columns both fit in buf
+        for start in range(done, stop, s_lo.shape[1] // 2):
+            cols = order[start:min(stop, start + s_lo.shape[1] // 2)]
+            part = np.take(s_lo, cols, axis=1, out=_tail(buf, n, cols.size), mode="clip")
+            x = np.add(part[:, None, :], s_hi[:, hs, None], out=_block(buf, n, chunk, cols.size))
+            best = max(best, _pair_max(x, t_lo[cols], t_hi[hs]))
+    return best
 
 
 def cutnorm_exact(f: WeightedGraph) -> float:
@@ -305,9 +440,20 @@ def cutnorm_exact(f: WeightedGraph) -> float:
     column sums, taken in both directions; guarded at n = 22.
     Split: U's column sums are s_lo[:, b] + s_hi[:, h], tables of two row blocks.
     Negative side: neg = pos - total, since sum max(s,0) - sum max(-s,0) = sum s.
-    Past one chunk of high-block columns, a float32 pass bounds every chunk and
-    the chunks run best bound first, stopping at the first bound that cannot
-    beat the best so far; the result is the same as running them all.
+    Past one chunk of high-block columns (n >= 14), pairs are pruned by the
+    separable bound 2 max(pos, neg) <= A[b] + C[h], where A[b] sums |s_lo|
+    down column b and adds |t_lo[b]|, and C[h] is alike (``_separable_bounds``).
+    - Seed: the low-block columns are sorted by A, largest first; a float64
+      pass over 64 x 128 pairs, the high-block columns of largest C (at most
+      128) against as many of the first sorted columns, gives a first best.
+    - Prefix: in a chunk, only the low-block columns with A[b] + max C over
+      the chunk + slack > 2 best can still beat it; in A order they are a
+      prefix of the sorted columns.
+    - Screen: one float32 pass bounds each chunk over its prefix
+      (``_chunk_bounds``), and the chunks run in float64 over their prefixes,
+      best bound first, stopping at the first bound that cannot beat the
+      best so far.
+    The result is the same, bit for bit, as running every chunk in full.
     Raises ValueError when the absolute weights have no finite total.
     """
     n = f.n
@@ -326,21 +472,12 @@ def cutnorm_exact(f: WeightedGraph) -> float:
     # vertex axis first, so the sum over it adds n contiguous slabs
     buf = np.empty((n, chunk, 1 << lo))
     if n_hi > chunk:
-        bounds, shift = _chunk_bounds(s_lo, s_hi, t_lo, t_hi, chunk, buf)
-        order = np.argsort(-bounds, kind="stable")
-    else:
-        bounds, shift, order = [math.inf], 0, [0]
-    best = 0.0
-    for i in order:
-        if bounds[i] <= math.ldexp(best, shift):
-            break
-        hs = slice(i * chunk, (i + 1) * chunk)
-        np.add(s_lo[:, None, :], s_hi[:, hs, None], out=buf)
-        np.maximum(buf, 0.0, out=buf)
-        pos = buf.sum(axis=0)
-        neg = pos - (t_lo + t_hi[hs, None])
-        best = max(best, float(pos.max()), float(neg.max()))
-    return best / (n * n)
+        return _best_first(s_lo, s_hi, t_lo, t_hi, buf) / (n * n)
+    np.add(s_lo[:, None, :], s_hi[:, :, None], out=buf)
+    np.maximum(buf, 0.0, out=buf)
+    pos = buf.sum(axis=0)
+    neg = pos - (t_lo + t_hi[:, None])
+    return max(0.0, float(pos.max()), float(neg.max())) / (n * n)
 
 
 def cutnorm_heuristic(f: WeightedGraph, restarts: int = 20, seed: int = 0) -> float:

@@ -30,7 +30,8 @@ from ramseykit import (
     two_density,
     write_weighted,
 )
-from ramseykit.cutnorm import _chunk_bounds, _einsum_path, _subset_bits, _subset_sums
+from ramseykit.cutnorm import (_chunk_bounds, _einsum_path, _lifted, _pair_max, _separable_bounds,
+                               _subset_bits, _subset_sums)
 
 K3 = PatternGraph.complete(3)
 
@@ -73,28 +74,39 @@ def reference_subset_sums(rows):
     return rows.T @ bits.astype(np.float64)
 
 
-def reference_chunk_maxima(f):
-    """Reference: the split kernel run over every chunk of high-block columns,
-    in plain order, with a fresh bit table per call; returns each chunk's
-    float64 max(pos, neg), unnormalised."""
-    n = f.n
+def split(n):
+    """The kernel's split: (low-block rows, high-block columns per chunk)."""
     lo = 12 if n > 16 else (n + 1) // 2
+    return lo, min(1 << (n - lo), (1 << 13) >> lo)
+
+
+def reference_chunks(f):
+    """Reference: the split kernel run over every chunk of high-block columns,
+    in plain order, with a fresh bit table per call; yields each chunk's
+    float64 max(pos, neg) of every column pair, unnormalised, one row per
+    high-block column."""
+    n = f.n
+    lo, chunk = split(n)
     s_lo = reference_subset_sums(f.w[:lo])
     s_hi = reference_subset_sums(f.w[lo:])
     t_lo = s_lo.sum(axis=0)
     t_hi = s_hi.sum(axis=0)
-    n_hi = s_hi.shape[1]
-    chunk = min(n_hi, (1 << 13) >> lo)
     buf = np.empty((n, chunk, 1 << lo))
-    maxima = []
-    for h0 in range(0, n_hi, chunk):
+    for h0 in range(0, s_hi.shape[1], chunk):
         hs = slice(h0, h0 + chunk)
         np.add(s_lo[:, None, :], s_hi[:, hs, None], out=buf)
         np.maximum(buf, 0.0, out=buf)
         pos = buf.sum(axis=0)
-        neg = pos - (t_lo + t_hi[hs, None])
-        maxima.append(max(float(pos.max()), float(neg.max())))
-    return maxima
+        yield np.maximum(pos, pos - (t_lo + t_hi[hs, None]))
+
+
+def reference_chunk_maxima(f):
+    return [float(values.max()) for values in reference_chunks(f)]
+
+
+def reference_pair_values(f):
+    """max(pos, neg) of every (high-block column, low-block column) pair."""
+    return np.concatenate(list(reference_chunks(f)))
 
 
 def reference_exact(f):
@@ -102,14 +114,25 @@ def reference_exact(f):
     return max(0.0, *reference_chunk_maxima(f)) / (f.n * f.n)
 
 
-MAGNITUDES = ("dyadic", "uniform", "zero", "huge", "subnormal", "mixed")
+MAGNITUDES = ("dyadic", "uniform", "zero", "huge", "subnormal", "mixed", "planted", "sbm")
 
 
 def magnitude_weights(n, kind, seed):
-    """Symmetric zero-diagonal weights of one magnitude class: +-1/2 as in
-    G(n, 1/2) - 1/2, uniform in [-1, 1], zero, uniform times 1e300, uniform
-    times 1e-320 (subnormal), or uniform times 2^k for k in [-300, 300]."""
+    """Symmetric zero-diagonal weights of one magnitude or structure class:
+    +-1/2 as in G(n, 1/2) - 1/2, uniform in [-1, 1], zero, uniform times
+    1e300, uniform times 1e-320 (subnormal), uniform times 2^k for k in
+    [-300, 300], a planted two-block +-1/2 matrix plus noise uniform in
+    [-0.3, 0.3], or a two-community SBM adjacency (0.7 inside, 0.3 across)
+    minus its density.  The last two have a few subsets U far above the
+    rest, where the separable bound of ``cutnorm_exact`` prunes least."""
     rng = np.random.default_rng(seed)
+    if kind in ("planted", "sbm"):
+        side = rng.random(n) < 0.5
+        same = side[:, None] == side
+        if kind == "planted":
+            return symmetric(np.where(same, 0.5, -0.5) + rng.uniform(-0.3, 0.3, size=(n, n)))
+        adjacency = np.triu(rng.random((n, n)) < np.where(same, 0.7, 0.3), 1)
+        return symmetric(adjacency - adjacency.sum() / (n * (n - 1) / 2))
     if kind == "dyadic":
         a = np.where(rng.random((n, n)) < 0.5, 0.5, -0.5)
     else:
@@ -236,10 +259,19 @@ class TestCutnormBlockSplit:
         assert cutnorm_exact(WeightedGraph.constant(n, value)) == pytest.approx((n - 1) / n)
 
 
+def tables(f):
+    """The kernel's subset-sum tables and their column sums."""
+    lo, _ = split(f.n)
+    s_lo, s_hi = _subset_sums(f.w[:lo]), _subset_sums(f.w[lo:])
+    return s_lo, s_hi, s_lo.sum(axis=0), s_hi.sum(axis=0)
+
+
 class TestCutnormBestFirst:
-    """Past one chunk of high-block columns (n >= 14) the kernel bounds every
-    chunk in float32 and computes in float64 only those that can still hold
-    the maximum; the result must not change by a single bit."""
+    """Past one chunk of high-block columns (n >= 14) the kernel drops every
+    pair whose separable bound cannot beat a seeded best, bounds what is
+    left of each chunk in float32 and computes in float64 only the chunks
+    that can still hold the maximum; the result must not change by a single
+    bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(14, 19), kind=st.sampled_from(MAGNITUDES),
@@ -249,9 +281,31 @@ class TestCutnormBestFirst:
     @example(n=19, kind="huge", seed=1)
     @example(n=19, kind="subnormal", seed=2)
     @example(n=17, kind="mixed", seed=3)
+    @example(n=19, kind="mixed", seed=1)  # a pairwise sum of the rows rounds differently here
+    @example(n=19, kind="planted", seed=0)
+    @example(n=19, kind="sbm", seed=0)
+    @example(n=22, kind="dyadic", seed=0)
     def test_bit_identical_to_every_chunk_reference(self, n, kind, seed):
         f = magnitude_weights(n, kind, seed)
         assert cutnorm_exact(f) == reference_exact(f)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(14, 19), kind=st.sampled_from(MAGNITUDES),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=19, kind="dyadic", seed=0)
+    @example(n=16, kind="huge", seed=1)
+    @example(n=15, kind="subnormal", seed=2)
+    @example(n=18, kind="mixed", seed=3)
+    @example(n=19, kind="sbm", seed=4)
+    def test_separable_bound_holds_for_every_pair(self, n, kind, seed):
+        # dropping the pairs past a chunk's prefix is safe only because of this
+        f = magnitude_weights(n, kind, seed)
+        s_lo, s_hi, t_lo, t_hi = tables(f)
+        a, c, slack, shift = _separable_bounds(s_lo, s_hi, t_lo, t_hi,
+                                               np.empty(s_lo.size + s_hi.size))
+        values = reference_pair_values(f)
+        assert values.shape == (c.size, a.size)
+        assert np.all(np.ldexp(values, shift) <= c[:, None] + a + slack)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(14, 19), kind=st.sampled_from(MAGNITUDES),
@@ -260,18 +314,59 @@ class TestCutnormBestFirst:
     @example(n=16, kind="huge", seed=1)
     @example(n=15, kind="subnormal", seed=2)
     @example(n=18, kind="mixed", seed=3)
+    @example(n=19, kind="planted", seed=4)
     def test_no_bound_below_its_chunk_maximum(self, n, kind, seed):
-        # skipping a chunk is safe only because of this
+        # skipping a chunk is safe only because of this; chunk i is bounded
+        # over the first prefix[i] columns of a shuffled table: mostly few,
+        # so that narrow chunks share a pass, and all of them for one chunk
         f = magnitude_weights(n, kind, seed)
-        lo = 12 if n > 16 else (n + 1) // 2
-        s_lo, s_hi = _subset_sums(f.w[:lo]), _subset_sums(f.w[lo:])
-        chunk = min(s_hi.shape[1], (1 << 13) >> lo)
-        bounds, shift = _chunk_bounds(s_lo, s_hi, s_lo.sum(axis=0), s_hi.sum(axis=0),
-                                      chunk, np.empty((n, chunk, 1 << lo)))
-        maxima = reference_chunk_maxima(f)
-        assert len(bounds) == len(maxima)
-        for bound, top in zip(bounds, maxima):
+        s_lo, s_hi, t_lo, t_hi = tables(f)
+        lo, chunk = split(n)
+        rng = np.random.default_rng(seed)
+        prefix = ((1 << lo) * rng.random(s_hi.shape[1] // chunk) ** 3).astype(np.intp)
+        prefix[rng.integers(prefix.size)] = 1 << lo
+        cols = rng.permutation(1 << lo)
+        bounds, shift = _chunk_bounds(s_lo[:, cols], s_hi, t_lo[cols], t_hi, prefix, chunk,
+                                      np.empty((n, chunk, 1 << lo)))
+        values = reference_pair_values(f)[:, cols]
+        assert len(bounds) == len(prefix)
+        for i, (bound, width) in enumerate(zip(bounds, prefix)):
+            top = values[i * chunk:(i + 1) * chunk, :width].max(initial=0.0)
             assert math.ldexp(top, shift) <= bound
+            assert width or bound == 0.0
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_maximum_at_the_empty_high_block_set(self, n):
+        # weight 1 inside the low block and -0.1 from the high block to it:
+        # U = W = the low block wins, paired with the empty high-block set,
+        # whose separable sum is 0, so the seed's high-block columns miss it
+        # (past 2^7 of them) while its low-block column leads the seed
+        lo, _ = split(n)
+        w = np.zeros((n, n))
+        w[:lo, :lo] = 1.0
+        w[lo:, :lo] = w[:lo, lo:] = -0.1
+        np.fill_diagonal(w, 0.0)
+        f = WeightedGraph(w)
+        assert cutnorm_exact(f) == reference_exact(f) == lo * (lo - 1) / n**2
+
+    def test_single_pair_blocks_add_rows_in_order(self):
+        # on a one-pair block numpy's sum(axis=0) adds the rows pairwise,
+        # which gives another float here than the reference's slab by slab
+        f = magnitude_weights(19, "mixed", 1)
+        s_lo, s_hi, t_lo, t_hi = tables(f)
+        values = reference_pair_values(f)
+        rng = np.random.default_rng(0)
+        for h, b in zip(rng.integers(0, s_hi.shape[1], 200), rng.integers(0, s_lo.shape[1], 200)):
+            x = s_hi[:, [h], None] + s_lo[:, None, [b]]
+            assert _pair_max(x, t_lo[[b]], t_hi[[h]]) == values[h, b]
+
+    def test_lifted_matmul_adds_like_numpy(self):
+        # the seed block forms s_hi + s_lo by a batched matmul; each entry
+        # must round as np.add rounds it, subnormal and huge ones included
+        for kind in ("uniform", "huge", "subnormal", "mixed"):
+            s_lo, s_hi, _, _ = tables(magnitude_weights(19, kind, 5))
+            got = _lifted(s_hi[:, :128], 0) @ _lifted(s_lo[:, :64], 1)
+            assert np.array_equal(got, s_hi[:, :128, None] + s_lo[:, None, :64])
 
     def test_bit_table_is_cached_read_only(self):
         bits = _subset_bits(5)

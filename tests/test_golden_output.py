@@ -109,6 +109,9 @@ CLI_CASES = {
     # 40 nodes decide every clamped K_6 and K_9 and run out on one n = 9
     # graph at C = 2.0, so a resource_limit row is written
     "sweep_mono_budget": "sweep --config mono.json --out trials.csv",
+    # an output path in a missing directory: exit 2 before any trial, the
+    # error on stderr, and no file or directory made
+    "sweep_nodir": "sweep --config clean.json --out nodir/trials.csv",
 }
 
 
@@ -116,7 +119,10 @@ CLI_CASES = {
 def test_cli_output_matches_golden_text(case, tmp_path, monkeypatch, capsys):
     shutil.copytree(CLI / "input", tmp_path, dirs_exist_ok=True)
     monkeypatch.chdir(tmp_path)
-    status = main(shlex.split(CLI_CASES[case]))
+    try:
+        status = main(shlex.split(CLI_CASES[case]))
+    except SystemExit as exc:  # input errors leave through argparse
+        status = exc.code
     assert f"exit {status}\n" + capsys.readouterr().out == (CLI / f"{case}.out").read_text()
     written = {path.name: _masked(path) for path in tmp_path.iterdir()
                if not (CLI / "input" / path.name).exists()}
