@@ -236,21 +236,6 @@ _SEED_HI = 128
 _SEED_PAIRS = 64 * _SEED_HI
 
 
-def _lifted(s: np.ndarray, side: int) -> np.ndarray:
-    """The table with a row of ones beside each of its rows: [s, 1], n x k x 2,
-    for ``side`` 0 and [1; s], n x 2 x k, for ``side`` 1.
-
-    ``_lifted(s_hi, 0) @ _lifted(s_lo, 1)`` holds s_hi[w, h] + s_lo[w, b] at
-    [w, h, b], rounded once, as ``np.add`` rounds it: both products are exact.
-    On a block narrow both ways the batched matmul runs several times faster
-    than a broadcast add, which numpy buffers.
-    """
-    n, k = s.shape
-    out = np.ones((n, k, 2) if side == 0 else (n, 2, k), s.dtype)  # C order, as BLAS wants
-    out[(..., 0) if side == 0 else (slice(None), 1)] = s
-    return out
-
-
 def _block(buf: np.ndarray, *shape: int) -> np.ndarray:
     """The first prod(shape) entries of ``buf`` as a C-order array of that shape."""
     return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
@@ -303,8 +288,7 @@ def _separable_bounds(s_lo: np.ndarray, s_hi: np.ndarray, t_lo: np.ndarray, t_hi
     float; otherwise it is below 2^-1022 < slack, the threshold is negative
     and every column stays.
     """
-    sums = [np.abs(s, out=buf.reshape(-1)[:s.size].reshape(s.shape)).sum(axis=0)
-            for s in (s_lo, s_hi)]
+    sums = [np.abs(s, out=_block(buf, *s.shape)).sum(axis=0) for s in (s_lo, s_hi)]
     e = 100 - math.frexp(max(float(s.max()) for s in sums))[1]
     a, c = (np.ldexp(s, e) + np.ldexp(np.abs(t), e) for s, t in zip(sums, (t_lo, t_hi)))
     return a, c, 2.0**-40 * (float(a.max()) + float(c.max())) + 2.0**-100, e + 1
@@ -377,14 +361,14 @@ def _chunk_bounds(s_lo: np.ndarray, s_hi: np.ndarray, t_lo: np.ndarray, t_hi: np
         k += ids.size
         hs = (ids[:, None] * chunk + np.arange(chunk)).ravel()
         # n float64 slabs hold n + 1 float32 ones with room to spare
-        work = buf.reshape(-1).view(np.float32)[:(n + 1) * hs.size * width]
-        work = work.reshape(n + 1, hs.size, width)
+        work = _block(buf.reshape(-1).view(np.float32), n + 1, hs.size, width)
         np.add(a[:, None, :width], c[:, hs, None], out=work)
         np.abs(work, out=work)
         total = (ones @ work.reshape(n + 1, -1)).reshape(ids.size, chunk, width)
         # a chunk's columns past its own prefix only pad the batch
         total = np.where(np.arange(width) < prefix[ids, None, None], total, 0.0)
-        bounds[ids] = total.max(axis=(1, 2)) + slack
+        bounds[ids] = total.max(axis=(1, 2))
+        bounds[ids] += slack  # in float64
     return bounds, e + 1
 
 
@@ -400,8 +384,8 @@ def _best_first(s_lo: np.ndarray, s_hi: np.ndarray, t_lo: np.ndarray, t_hi: np.n
     if a[order[0]] == c[top[0]] == 0.0:
         return 0.0  # zero tables
     seed = order[:_SEED_PAIRS // top.size]
-    x = np.matmul(_lifted(s_hi.take(top, axis=1), 0), _lifted(s_lo.take(seed, axis=1), 1),
-                  out=_block(buf, n, top.size, seed.size))
+    x = np.add(s_lo.take(seed, axis=1)[:, None, :], s_hi.take(top, axis=1)[:, :, None],
+               out=_block(buf, n, top.size, seed.size))
     best = _pair_max(x, t_lo[seed], t_hi[top])
     # in chunk i, low-block column b can beat best only if
     # a[b] > 2^shift best - reach[i]; a[order] falls, so those b are a prefix.

@@ -30,7 +30,7 @@ from ramseykit import (
     two_density,
     write_weighted,
 )
-from ramseykit.cutnorm import (_chunk_bounds, _einsum_path, _lifted, _pair_max, _separable_bounds,
+from ramseykit.cutnorm import (_chunk_bounds, _einsum_path, _pair_max, _separable_bounds,
                                _subset_bits, _subset_sums)
 
 K3 = PatternGraph.complete(3)
@@ -359,14 +359,6 @@ class TestCutnormBestFirst:
         for h, b in zip(rng.integers(0, s_hi.shape[1], 200), rng.integers(0, s_lo.shape[1], 200)):
             x = s_hi[:, [h], None] + s_lo[:, None, [b]]
             assert _pair_max(x, t_lo[[b]], t_hi[[h]]) == values[h, b]
-
-    def test_lifted_matmul_adds_like_numpy(self):
-        # the seed block forms s_hi + s_lo by a batched matmul; each entry
-        # must round as np.add rounds it, subnormal and huge ones included
-        for kind in ("uniform", "huge", "subnormal", "mixed"):
-            s_lo, s_hi, _, _ = tables(magnitude_weights(19, kind, 5))
-            got = _lifted(s_hi[:, :128], 0) @ _lifted(s_lo[:, :64], 1)
-            assert np.array_equal(got, s_hi[:, :128, None] + s_lo[:, None, :64])
 
     def test_bit_table_is_cached_read_only(self):
         bits = _subset_bits(5)
