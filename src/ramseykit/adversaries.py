@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .colouring import EdgeColouring, _max_degrees
-from .graphs import OrderedGraph, _bit_table
+from .graphs import OrderedGraph, _bit_table, _integer
 
 __all__ = [
     "KINDS",
@@ -51,21 +52,20 @@ class AdversarySpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
-        for key, value in (("r", self.r), ("lambda", self.lam)):
-            if value is not None:
-                _int_field(key, value)
-        if _int_field("seed", self.seed) < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.kind == "RandomR" and (self.r is None or self.r < 1):
+        if self.kind == "RandomR" and self.r is None:
             raise ValueError("RandomR needs r >= 1")
-        if self.kind == "BoundedRandom":
-            if self.lam is None or self.lam < 1:
-                raise ValueError("BoundedRandom needs lambda >= 1")
-            if self.r is not None and self.r < 1:
-                raise ValueError("BoundedRandom palette must satisfy r >= 1")
+        if self.kind == "BoundedRandom" and self.lam is None:
+            raise ValueError("BoundedRandom needs lambda >= 1")
+        # r and lambda bound the kinds that draw colours; the others ignore them
+        low = 1 if self.kind in ("RandomR", "BoundedRandom") else -math.inf
+        for key, attr in (("r", "r"), ("lambda", "lam")):
+            value = getattr(self, attr)
+            if value is not None:
+                object.__setattr__(self, attr, _integer(key, value, low))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
 
     def with_seed(self, seed: int) -> "AdversarySpec":
-        return replace(self, seed=int(seed))
+        return replace(self, seed=seed)
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind, "seed": self.seed}
@@ -79,13 +79,6 @@ class AdversarySpec:
     def from_json(cls, data: dict) -> "AdversarySpec":
         _check_json_keys("adversary", data, ("kind", "r", "lambda", "seed"), ("kind",))
         return cls(**{"lam" if key == "lambda" else key: value for key, value in data.items()})
-
-
-def _int_field(key: str, value: object) -> int:
-    """An integer field of a spec or config; refuses float, str, bool and None."""
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 def _check_json_keys(what: str, data: object, known: Sequence[str],

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 from .adversaries import AdversarySpec, generate_colouring
 from .colouring import CanonicalWitness, read_colouring, write_colouring
 from .erdos_rado import NoWitness, er_find
-from .graphs import OrderedGraph, _write_lines, read_graph
+from .graphs import OrderedGraph, _integer, _write_lines, read_graph, vertex_mask
 from .harness import (
     ExperimentConfig,
     run_sweep,
@@ -39,11 +39,9 @@ __all__ = ["main"]
 def _int_at_least(low: int) -> Callable[[str], int]:
     def convert(text: str) -> int:
         try:
-            if int(text) >= low:
-                return int(text)
+            return _integer("value", int(text), low)
         except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}") from None
     return convert
 
 
@@ -101,9 +99,10 @@ def _cmd_find(args: argparse.Namespace) -> int:
     _check_out_dir("--witness-out", args.witness_out)
     graph = _read("--graph", read_graph, args.graph)
     phi = _read("--colouring", read_colouring, args.colouring, graph)
-    outside = [v for v in args.set or () if not 1 <= v <= graph.n]
-    if outside:
-        raise _InputError(f"argument --set: vertex {outside[0]} outside {{1,...,{graph.n}}}")
+    try:
+        vertex_mask(graph, args.set)
+    except ValueError as exc:
+        raise _InputError(f"argument --set: {exc}") from None
     if args.rainbow:
         outcome = find_rainbow_copy(phi, args.ell, args.set)
     else:

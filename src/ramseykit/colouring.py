@@ -14,8 +14,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .graphs import (Edge, OrderedGraph, _extend_cliques, _finite, _read_records, _write_lines,
-                     bits, normalise_edge, vertex_mask)
+from .graphs import (Edge, OrderedGraph, _extend_cliques, _finite, _integer, _is_int,
+                     _read_records, _vertex, _write_lines, bits, normalise_edge, vertex_mask)
 
 __all__ = [
     "EdgeColouring",
@@ -87,20 +87,9 @@ class EdgeColouring:
     __slots__ = ("host", "_rows")
 
     def __init__(self, host: OrderedGraph, mapping: Mapping[Edge, int]) -> None:
-        norm: dict[Edge, int] = {}
-        for (u, v), c in mapping.items():
-            edge = normalise_edge(u, v)
-            if edge in norm:
-                raise ValueError(f"duplicate edge {edge}")
-            if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not 0 <= c < _COLOUR_LIMIT:
-                raise ValueError(f"colour {c!r} on edge {edge} is not an integer in [0, 2^63)")
-            norm[edge] = int(c)
-        missing, extra = set(host.edges) - set(norm), set(norm) - set(host.edges)
-        if missing or extra:
-            raise ValueError(f"colouring domain mismatch: missing {sorted(missing)[:3]}, "
-                             f"extraneous {sorted(extra)[:3]}")
         self.host = host
-        self._rows = _Rows(host, [norm[edge] for edge in host.edges])
+        self._rows = _Rows(host, _checked_colours(
+            host, (("", u, v, c) for (u, v), c in mapping.items())))
 
     @classmethod
     def _trusted(cls, host: OrderedGraph,
@@ -159,6 +148,30 @@ class EdgeColouring:
 
     def __repr__(self) -> str:
         return f"EdgeColouring(n={self.host.n}, m={self.host.edge_count}, colours={len(self.colours())})"
+
+
+def _checked_colours(host: OrderedGraph, records: Iterable[tuple[str, object, object, object]]
+                     ) -> list[int]:
+    """The colours of ``host.edges``, in edge order, given as (where, u, v, c)
+    records, refusing what ``normalise_edge`` refuses, an edge the host lacks
+    or one given twice, a colour that is not an integer in [0, 2^63), and a
+    host edge left uncoloured, with a message that starts with the record's
+    ``where``."""
+    colours: dict[Edge, int] = {}
+    for where, u, v, c in records:
+        edge = normalise_edge(host.n, u, v, where)
+        if not host.has_edge(*edge):
+            raise ValueError(f"{where}{edge} is not an edge of the host")
+        if edge in colours:
+            raise ValueError(f"{where}duplicate edge {edge}")
+        if not (_is_int(c) and 0 <= c < _COLOUR_LIMIT):
+            raise ValueError(f"{where}colour {c!r} outside the colour ids on edge {edge}: "
+                             "not an integer in [0, 2^63)")
+        colours[edge] = int(c)
+    if len(colours) != host.edge_count:
+        missing = [edge for edge in host.edges if edge not in colours]
+        raise ValueError(f"colouring does not cover every host edge: missing {missing[:3]}")
+    return [colours[edge] for edge in host.edges]
 
 
 _Source = Callable[[int, int], Sequence[int]]
@@ -295,8 +308,6 @@ def _colour_counts(phi: EdgeColouring, v: int, umask: int,
 
     Direction "<" counts only neighbours w > v, ">" only w < v.
     """
-    if not 1 <= v <= phi.host.n:
-        raise ValueError(f"vertex {v} outside {{1,...,{phi.host.n}}}")
     lower = (1 << v) - 1
     rest = phi.host._adj[v] & umask
     if direction == "<":
@@ -323,13 +334,14 @@ def _max_degrees(phi: EdgeColouring, us: Optional[Iterable[int]],
 
 def colour_degree(phi: EdgeColouring, v: int, us: Iterable[int], c: int) -> int:
     """|{w in U : vw is an edge and phi(vw) = c}|."""
-    return _colour_counts(phi, v, vertex_mask(phi.host, us)).get(c, 0)
+    return _colour_counts(phi, _vertex(phi.host.n, v), vertex_mask(phi.host, us)).get(c, 0)
 
 
 def directed_colour_degree(phi: EdgeColouring, v: int, us: Iterable[int],
                            c: int, direction: str) -> int:
     """Colour degree restricted to neighbours w with v < w or v > w."""
-    return _colour_counts(phi, v, vertex_mask(phi.host, us), direction).get(c, 0)
+    umask = vertex_mask(phi.host, us)
+    return _colour_counts(phi, _vertex(phi.host.n, v), umask, direction).get(c, 0)
 
 
 def _threshold(factor: float, delta: float, p: float, size: int) -> float:
@@ -378,55 +390,53 @@ def bounded_side_split(phi: EdgeColouring, us: Iterable[int], delta: float,
     return tuple(unbounded), tuple(rest)
 
 
-def _partite_cliques(host: OrderedGraph,
-                     classes: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-    """Stream tuples (u_1,...,u_ell), u_i in class i, inducing a clique."""
-    class_of = {v: i for i, cl in enumerate(classes) for v in cl}
-    cliques = _extend_cliques(host._adj, vertex_mask(host, class_of), len(classes),
-                              lambda prefix, v: all(class_of[u] != class_of[v] for u in prefix))
-    return (tuple(sorted(clique, key=class_of.__getitem__)) for clique in cliques)
-
-
-def _check_classes(host: OrderedGraph, classes: Sequence[Iterable[int]],
-                   minimum: int) -> list[tuple[int, ...]]:
-    norm = [tuple(sorted(set(cl))) for cl in classes]
-    if len(norm) < minimum:
+def _class_masks(host: OrderedGraph, classes: Sequence[Iterable[int]],
+                 minimum: int) -> list[int]:
+    """The vertex bitmask of each class, refusing fewer than ``minimum``
+    classes, an empty class, a vertex outside the host and classes that
+    share a vertex."""
+    if len(classes) < minimum:
         raise ValueError(f"need at least {minimum} classes")
-    seen: set[int] = set()
-    for cl in norm:
-        if not cl:
+    masks = [vertex_mask(host, cl) for cl in classes]
+    seen = 0
+    for mask in masks:
+        if not mask:
             raise ValueError("classes must be nonempty")
-        for v in cl:
-            if not 1 <= v <= host.n:
-                raise ValueError(f"vertex {v} outside host")
-            if v in seen:
-                raise ValueError(f"classes are not disjoint at vertex {v}")
-            seen.add(v)
-    return norm
+        if mask & seen:
+            raise ValueError(f"classes are not disjoint at vertex {next(bits(mask & seen))}")
+        seen |= mask
+    return masks
+
+
+def _nonrainbow_count(phi: EdgeColouring, classes: Sequence[Iterable[int]],
+                      first: Edge, second: Edge) -> int:
+    """Cross-class K_ell copies (u_1,...,u_ell), u_i in class i, whose edges
+    u_a u_b and u_c u_d share a colour, for first = (a, b) and second =
+    (c, d), positions counted from 0."""
+    (a, b), (c, d) = first, second
+    masks = _class_masks(phi.host, classes, max(a, b, c, d) + 1)
+    class_of = {v: i for i, mask in enumerate(masks) for v in bits(mask)}
+    cliques = _extend_cliques(phi.host._adj, sum(masks), len(masks),  # the masks are disjoint
+                              lambda prefix, v: all(class_of[u] != class_of[v] for u in prefix))
+    count = 0
+    for clique in cliques:
+        tup = sorted(clique, key=class_of.__getitem__)
+        count += phi.colour(tup[a], tup[b]) == phi.colour(tup[c], tup[d])
+    return count
 
 
 def nonrainbow_cherry_count(phi: EdgeColouring,
                             classes: Sequence[Iterable[int]]) -> int:
     """Cross-class K_ell copies whose edges into classes 2 and 3 from the
     class-1 vertex repeat a colour: phi(u1 u2) = phi(u1 u3)."""
-    norm = _check_classes(phi.host, classes, 3)
-    count = 0
-    for tup in _partite_cliques(phi.host, norm):
-        if phi.colour(tup[0], tup[1]) == phi.colour(tup[0], tup[2]):
-            count += 1
-    return count
+    return _nonrainbow_count(phi, classes, (0, 1), (0, 2))
 
 
 def nonrainbow_matching_count(phi: EdgeColouring,
                               classes: Sequence[Iterable[int]]) -> int:
     """Cross-class K_ell copies with a repeated colour on the disjoint pair
     (u1 u2) and (u3 u4)."""
-    norm = _check_classes(phi.host, classes, 4)
-    count = 0
-    for tup in _partite_cliques(phi.host, norm):
-        if phi.colour(tup[0], tup[1]) == phi.colour(tup[2], tup[3]):
-            count += 1
-    return count
+    return _nonrainbow_count(phi, classes, (0, 1), (2, 3))
 
 
 def pair_density(graph: OrderedGraph, ui: Iterable[int], uj: Iterable[int],
@@ -434,10 +444,9 @@ def pair_density(graph: OrderedGraph, ui: Iterable[int], uj: Iterable[int],
     """e(U_i, U_j) / (p |U_i| |U_j|) for disjoint classes (edges counted once)."""
     if _finite("p", p, 0, 1) == 0:
         raise ValueError("p must be positive")
-    a, b = _check_classes(graph, (ui, uj), 2)
-    bmask = vertex_mask(graph, b)
-    edges = sum((graph.adjacency(u) & bmask).bit_count() for u in a)
-    return edges / (p * len(a) * len(b))
+    a, b = _class_masks(graph, (ui, uj), 2)
+    edges = sum((graph._adj[u] & b).bit_count() for u in bits(a))
+    return edges / (p * a.bit_count() * b.bit_count())
 
 
 def cherry_density(graph: OrderedGraph, u1: Iterable[int], u2: Iterable[int],
@@ -445,14 +454,10 @@ def cherry_density(graph: OrderedGraph, u1: Iterable[int], u2: Iterable[int],
     """sum_{u in U1} d(u,U2) d(u,U3) / (p^2 |U1| |U2| |U3|)."""
     if _finite("p", p, 0, 1) == 0:
         raise ValueError("p must be positive")
-    a, b, c = _check_classes(graph, (u1, u2, u3), 3)
-    bmask = vertex_mask(graph, b)
-    cmask = vertex_mask(graph, c)
-    total = sum(
-        (graph.adjacency(u) & bmask).bit_count() * (graph.adjacency(u) & cmask).bit_count()
-        for u in a
-    )
-    return total / (p * p * len(a) * len(b) * len(c))
+    a, b, c = _class_masks(graph, (u1, u2, u3), 3)
+    adj = graph._adj
+    total = sum((adj[u] & b).bit_count() * (adj[u] & c).bit_count() for u in bits(a))
+    return total / (p * p * a.bit_count() * b.bit_count() * c.bit_count())
 
 
 def greedy_colour_partition(weights: Mapping[int, int], cap: int) -> list[list[int]]:
@@ -462,12 +467,9 @@ def greedy_colour_partition(weights: Mapping[int, int], cap: int) -> list[list[i
     class while it still fits, so the output is deterministic.  The class
     count never exceeds ceil(2 * total / cap) + 1.
     """
-    if cap <= 0:
-        raise ValueError("cap must be positive")
+    cap = _integer("cap", cap, 1)
     for colour, weight in weights.items():
-        if weight < 0:
-            raise ValueError(f"negative weight for colour {colour}")
-        if weight > cap:
+        if _integer(f"weight of colour {colour}", weight, 0) > cap:
             raise WeightExceedsCap(f"colour {colour} has weight {weight} > cap {cap}")
     classes: list[list[int]] = []
     load = 0
@@ -500,17 +502,11 @@ def read_colouring(path: str, host: OrderedGraph) -> EdgeColouring:
         raise ValueError(f"line {top}: header n={n} does not match host n={host.n}")
     if m != host.edge_count:
         raise ValueError(f"line {top}: header m={m} does not match host m={host.edge_count}")
-    mapping: dict[Edge, int] = {}
-    for idx, (u, v, c) in records:
-        if not u < v:
-            raise ValueError(f"line {idx}: endpoints must satisfy u < v")
-        if not host.has_edge(u, v):
-            raise ValueError(f"line {idx}: ({u},{v}) is not an edge of the host")
-        if (u, v) in mapping:
-            raise ValueError(f"line {idx}: duplicate edge ({u},{v})")
-        if not 0 <= c < _COLOUR_LIMIT:
-            raise ValueError(f"line {idx}: colour {c} outside [0, 2^63)")
-        mapping[(u, v)] = c
-    if len(mapping) != host.edge_count:
-        raise ValueError("colouring does not cover every host edge")
-    return EdgeColouring._trusted(host, [mapping[edge] for edge in host.edges])
+
+    def checked():  # the file format lists each edge as u < v
+        for idx, (u, v, c) in records:
+            if not u < v:
+                raise ValueError(f"line {idx}: endpoints must satisfy u < v")
+            yield f"line {idx}: ", u, v, c
+
+    return EdgeColouring._trusted(host, _checked_colours(host, checked()))

@@ -13,8 +13,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import (Edge, OrderedGraph, _finite, _pair_table, _read_records, _sample_pairs,
-                     _write_lines, count_cliques, normalise_edge)
+from .graphs import (Edge, OrderedGraph, _finite, _graph_from_pairs, _integer, _pair_table,
+                     _read_records, _sample_pairs, _vertex, _write_lines, count_cliques,
+                     normalise_edge)
 
 __all__ = [
     "WeightedGraph",
@@ -69,8 +70,7 @@ class WeightedGraph:
         w = np.asarray(matrix, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weight matrix must be square")
-        if w.shape[0] < 1:
-            raise ValueError("vertex count must be >= 1")
+        _integer("vertex count", w.shape[0], 1)
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
         if not np.array_equal(w, w.T):
@@ -88,10 +88,12 @@ class WeightedGraph:
 
     @classmethod
     def zeros(cls, n: int) -> "WeightedGraph":
+        n = _integer("vertex count", n, 1)
         return cls(np.zeros((n, n)))
 
     @classmethod
     def constant(cls, n: int, value: float) -> "WeightedGraph":
+        n = _integer("vertex count", n, 1)
         w = np.full((n, n), float(value))
         np.fill_diagonal(w, 0.0)
         return cls(w)
@@ -106,9 +108,8 @@ class WeightedGraph:
         return cls._trusted(w)
 
     def entry(self, u: int, v: int) -> float:
-        if u == v:
-            return 0.0
-        return float(self.w[u - 1, v - 1])
+        u, v = _vertex(self.n, u), _vertex(self.n, v)
+        return 0.0 if u == v else float(self.w[u - 1, v - 1])
 
     def is_indicator(self) -> bool:
         return bool(np.all((self.w == 0.0) | (self.w == 1.0)))
@@ -152,32 +153,26 @@ class PatternGraph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        if self.ell < 1:
-            raise ValueError("pattern needs at least one vertex")
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"loop at {u}")
-            if not (1 <= u < v <= self.ell):
-                raise ValueError(f"edge ({u},{v}) invalid for ell={self.ell}")
+        ell = _integer("ell", self.ell, 1)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "edges", frozenset(normalise_edge(ell, u, v) for u, v in self.edges))
 
     @classmethod
     def from_edges(cls, ell: int, edges: Iterable[Edge]) -> "PatternGraph":
-        return cls(ell, frozenset(normalise_edge(u, v) for u, v in edges))
+        return cls(ell, edges)
 
     @classmethod
     def complete(cls, ell: int) -> "PatternGraph":
-        return cls.from_edges(ell, combinations(range(1, ell + 1), 2))
+        return cls(ell, combinations(range(1, _integer("ell", ell, 1) + 1), 2))
 
     @classmethod
     def cycle(cls, ell: int) -> "PatternGraph":
-        if ell < 3:
-            raise ValueError("cycle needs >= 3 vertices")
-        return cls.from_edges(ell, [(i, i + 1) for i in range(1, ell)] + [(1, ell)])
+        ell = _integer("ell", ell, 3)
+        return cls(ell, [(i, i + 1) for i in range(1, ell)] + [(1, ell)])
 
     @classmethod
     def path(cls, ell: int) -> "PatternGraph":
-        return cls.from_edges(ell, [(i, i + 1) for i in range(1, ell)])
+        return cls(ell, [(i, i + 1) for i in range(1, _integer("ell", ell, 1))])
 
     @property
     def edge_count(self) -> int:
@@ -188,11 +183,7 @@ class PatternGraph:
 
 
 def _indices(n: int, us: Iterable[int]) -> np.ndarray:
-    out = sorted(set(us))
-    for v in out:
-        if not 1 <= v <= n:
-            raise ValueError(f"vertex {v} outside {{1,...,{n}}}")
-    return np.array(out, dtype=np.intp) - 1
+    return np.array(sorted({_vertex(n, v) for v in us}), dtype=np.intp) - 1
 
 
 def eval_e(f: WeightedGraph, us: Iterable[int], ws: Iterable[int]) -> float:
@@ -473,8 +464,7 @@ def cutnorm_heuristic(f: WeightedGraph, restarts: int = 20, seed: int = 0) -> fl
     pair is feasible, so the result never exceeds cutnorm_exact.
     Raises ValueError when the absolute weights have no finite total.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    restarts = _integer("restarts", restarts, 1)
     _refuse_overflow(f)
     n = f.n
     M = f.w
@@ -530,10 +520,8 @@ def hom_density(f: WeightedGraph, pattern: PatternGraph) -> float:
     if not pattern.edges:
         return 1.0
     if f.is_indicator() and pattern.is_complete():
-        host = OrderedGraph(
-            n,
-            [(i + 1, j + 1) for i, j in zip(*np.nonzero(np.triu(f.w)))],
-        )
+        us, vs, _, _ = _pair_table(n)
+        host = _graph_from_pairs(n, np.flatnonzero(f.w[us - 1, vs - 1]))
         return count_cliques(host, ell) / n**ell
     if ell > _DIRECT_PATTERN_GUARD:
         raise TooLarge(f"direct summation guarded at {_DIRECT_PATTERN_GUARD} pattern vertices")
@@ -633,8 +621,7 @@ def write_weighted(f: WeightedGraph, path: str) -> None:
 
 def read_weighted(path: str) -> WeightedGraph:
     (top, (n,)), *records = _read_records(path, "weighted-graph", "n", "u v w")
-    if n < 1:
-        raise ValueError(f"line {top}: vertex count must be >= 1")
+    n = _integer(f"line {top}: vertex count", n, 1)
     pairs = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
     if len(records) != len(pairs):
         raise ValueError(f"expected {len(pairs)} weight lines, found {len(records)}")

@@ -24,7 +24,7 @@ from .colouring import (
     _max_degrees,
     witness_for,
 )
-from .graphs import _finite
+from .graphs import _finite, _integer
 from .search import SearchOutcome, find_canonical_copy
 
 __all__ = [
@@ -83,14 +83,12 @@ class ErConstants:
     length: int
 
     def __post_init__(self) -> None:
-        if self.ell < 3:
-            raise ValueError("ell must be >= 3")
-        _finite("delta", self.delta, 0)
-        if self.length < 1:
-            raise ValueError("length must be >= 1")
+        object.__setattr__(self, "ell", _integer("ell", self.ell, 3))
+        object.__setattr__(self, "delta", _finite("delta", self.delta, 0))
+        object.__setattr__(self, "length", _integer("length", self.length, 1))
 
     @classmethod
-    @lru_cache(maxsize=16)  # one frozen instance per ell
+    @lru_cache(maxsize=16, typed=True)  # one frozen instance per ell; 3.0 is not 3
     def for_clique(cls, ell: int) -> "ErConstants":
         return cls(ell=ell, delta=1.0 / (4 * ell**3), length=2 * (ell - 2) ** 2 + 2)
 
@@ -231,6 +229,7 @@ def extract_canonical(seq: NeighbourhoodSequence, ell: int) -> CanonicalWitness:
     steps the witness is monochromatic; otherwise ell-1 pairwise distinct
     colours exist and the witness is strictly min- or max-coloured.
     """
+    ell = _integer("ell", ell, 3)
     needed_steps = ErConstants.for_clique(ell).length
     take = (ell - 2) ** 2 + 1
     if len(seq.steps) < needed_steps:
@@ -295,6 +294,7 @@ def rainbow_by_sampling(phi: EdgeColouring, us, ell: int, delta: float,
     Returns None after _SAMPLING_ROUNDS unsuccessful rounds.
     """
     _require_complete(phi)
+    ell = _integer("ell", ell, 3)
     u_sorted = tuple(sorted(set(us)))
     size, degrees = _max_degrees(phi, u_sorted)
     cap = _finite("delta", delta, 0) * size

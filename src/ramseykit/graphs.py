@@ -31,20 +31,14 @@ __all__ = [
 ]
 
 
-def _checked_graph(n: int, records: Iterable[tuple[str, int, int]]
+def _checked_graph(n: int, records: Iterable[tuple[str, object, object]]
                    ) -> tuple[list[int], tuple[Edge, ...], np.ndarray, np.ndarray]:
     """Bitset rows, sorted edges and endpoint arrays of the edges given as
-    (where, u, v) records, refusing a loop, an endpoint outside {1,...,n}
-    and a repeated edge with a message that starts with the record's
-    ``where``."""
+    (where, u, v) records, refusing what ``normalise_edge`` refuses and a
+    repeated edge with a message that starts with the record's ``where``."""
     seen: set[Edge] = set()
     for where, u, v in records:
-        u, v = int(u), int(v)
-        if u == v:
-            raise ValueError(f"{where}loop at vertex {u}")
-        edge = (u, v) if u < v else (v, u)
-        if not (1 <= edge[0] and edge[1] <= n):
-            raise ValueError(f"{where}edge {edge} outside {{1,...,{n}}}")
+        edge = normalise_edge(n, u, v, where)
         if edge in seen:
             raise ValueError(f"{where}duplicate edge {edge}")
         seen.add(edge)
@@ -78,11 +72,46 @@ def _finite(key: str, value: float, low: float = -math.inf, high: float = math.i
     return x
 
 
-def normalise_edge(u: int, v: int) -> Edge:
-    u, v = int(u), int(v)
+def _is_int(value: object) -> bool:
+    """Is ``value`` a Python or numpy integer?  A bool is not, nor is a float
+    with an integer value."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
+def _integer(key: str, value: object, low: float = -math.inf) -> int:
+    """``value`` as a Python int, refused with a ValueError naming ``key``
+    unless it is an integer (``_is_int``) at least ``low``: the one rule for
+    every size, count and seed that enters the library."""
+    if not _is_int(value):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{key} must be >= {low}, got {value!r}")
+    return int(value)
+
+
+def _is_vertex(n: int, v: object) -> bool:
+    """Is ``v`` a vertex of a graph on {1,...,n}: an integer (``_is_int``) in
+    that range?  The one vertex rule."""
+    return _is_int(v) and 1 <= v <= n
+
+
+def _vertex(n: int, v: object) -> int:
+    """``v`` as a Python int, refused unless it is a vertex of {1,...,n}."""
+    if not _is_vertex(n, v):
+        raise ValueError(f"vertex {v} outside {{1,...,{n}}}")
+    return int(v)
+
+
+def normalise_edge(n: int, u: object, v: object, where: str = "") -> Edge:
+    """The edge uv of a graph on {1,...,n} as (min, max) Python ints,
+    refusing a loop and an endpoint that is not a vertex with a message that
+    starts with ``where``."""
+    if u != v and _is_vertex(n, u) and _is_vertex(n, v):
+        return (int(u), int(v)) if u < v else (int(v), int(u))
     if u == v:
-        raise ValueError(f"loop at vertex {u}")
-    return (u, v) if u < v else (v, u)
+        raise ValueError(f"{where}loop at vertex {u}")
+    low, high = sorted((u, v)) if _is_int(u) and _is_int(v) else (u, v)
+    raise ValueError(f"{where}edge ({low}, {high}) outside {{1,...,{n}}}")
 
 
 class OrderedGraph:
@@ -99,9 +128,7 @@ class OrderedGraph:
     __slots__ = ("n", "_adj", "_edges", "_us", "_vs")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
-        if n < 1:
-            raise ValueError("vertex count must be >= 1")
-        self.n = n
+        self.n = n = _integer("vertex count", n, 1)
         self._adj, self._edges, self._us, self._vs = _checked_graph(
             n, (("", u, v) for u, v in edges))
 
@@ -120,12 +147,8 @@ class OrderedGraph:
 
     @classmethod
     def complete(cls, n: int) -> "OrderedGraph":
-        if n < 1:
-            raise ValueError("vertex count must be >= 1")
-        full = ((1 << (n + 1)) - 1) & ~1
-        adj = [0] + [full & ~(1 << v) for v in range(1, n + 1)]
-        us, vs, pairs, _ = _pair_table(n)
-        return cls._trusted(n, adj, tuple(pairs.tolist()), us, vs)
+        n = _integer("vertex count", n, 1)
+        return _graph_from_pairs(n, np.arange(n * (n - 1) // 2))
 
     @classmethod
     def empty(cls, n: int) -> "OrderedGraph":
@@ -151,14 +174,14 @@ class OrderedGraph:
 
     def adjacency(self, v: int) -> int:
         """Neighbourhood of v as a bitmask."""
-        return self._adj[v]
+        return self._adj[_vertex(self.n, v)]
 
     def has_edge(self, u: int, v: int) -> bool:
         """Is uv an edge?  False whenever an endpoint lies outside {1,...,n}."""
         return 1 <= u <= self.n and 1 <= v <= self.n and bool(self._adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return self._adj[_vertex(self.n, v)].bit_count()
 
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2
@@ -181,9 +204,7 @@ def vertex_mask(graph: OrderedGraph, vertices: Optional[Iterable[int]]) -> int:
         return graph.vertex_bitmask
     mask = 0
     for v in vertices:
-        if not 1 <= v <= graph.n:
-            raise ValueError(f"vertex {v} outside {{1,...,{graph.n}}}")
-        mask |= 1 << v
+        mask |= 1 << _vertex(graph.n, v)
     return mask
 
 
@@ -208,8 +229,7 @@ def gnp_generate(n: int, p: float, seed: int) -> GnpSample:
     (n-1,n), and the pair is an edge iff its draw is < p.
     """
     p = _finite("p", p, 0, 1)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer("n", n, 1)
     return GnpSample(_sample_pairs(n, p, seed), p, int(seed))
 
 
@@ -254,9 +274,15 @@ def _sample_pairs(n: int, probs: float | np.ndarray, seed: int) -> OrderedGraph:
     order; ``probs`` is one probability for every pair or an array giving
     one per pair in that order.
     """
+    draws = np.random.Generator(np.random.PCG64(seed)).random(n * (n - 1) // 2)
+    return _graph_from_pairs(n, np.flatnonzero(draws < probs))
+
+
+def _graph_from_pairs(n: int, idx: np.ndarray) -> OrderedGraph:
+    """The graph on {1,...,n} whose edges are the pairs at the increasing
+    positions ``idx`` of the lexicographic pair order, unchecked: the
+    library computed them."""
     iu, iv, pairs, slots = _pair_table(n)
-    draws = np.random.Generator(np.random.PCG64(seed)).random(len(pairs))
-    idx = np.flatnonzero(draws < probs)
     words = _row_words(n)
     flat = np.zeros((n + 1) * words * 64, dtype=bool)
     flat[slots.take(idx, axis=0)] = True
@@ -317,8 +343,7 @@ def count_cliques(graph: OrderedGraph, ell: int,
     Counts are exact Python integers, so there is no word-size overflow to
     detect; results of any magnitude are returned faithfully.
     """
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    ell = _integer("ell", ell, 2)
     mask = vertex_mask(graph, within)
     if mask.bit_count() < ell:
         return 0
@@ -333,8 +358,7 @@ def enumerate_cliques(graph: OrderedGraph, ell: int,
     Restricting to ``within`` streams only cliques inside that vertex set.
     The stream supports early termination (it is a generator).
     """
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    ell = _integer("ell", ell, 2)
     return _extend_cliques(graph._adj, vertex_mask(graph, within), ell)
 
 
@@ -349,9 +373,7 @@ def edge_count_between(graph: OrderedGraph, xs: Iterable[int], ys: Iterable[int]
 
 def degree_into(graph: OrderedGraph, v: int, us: Iterable[int]) -> int:
     """|N(v) ∩ U|; v itself never contributes (no loops)."""
-    if not 1 <= v <= graph.n:
-        raise ValueError(f"vertex {v} outside {{1,...,{graph.n}}}")
-    return (graph._adj[v] & vertex_mask(graph, us)).bit_count()
+    return (graph._adj[_vertex(graph.n, v)] & vertex_mask(graph, us)).bit_count()
 
 
 def _clean_scan(adj: list[int], edges: Sequence[Edge], ell: int) -> list[int]:
@@ -401,8 +423,7 @@ def clean_subgraph(graph: OrderedGraph, ell: int) -> OrderedGraph:
     For ell >= 4 the result contains no K_{ell+1} and no two K_ell's sharing
     >= 3 vertices, and the operation is idempotent.
     """
-    if ell < 3:
-        raise ValueError("ell must be >= 3")
+    ell = _integer("ell", ell, 3)
     adj = list(graph._adj)
     removed = _clean_scan(adj, graph.edges, ell)
     if not removed:
@@ -461,8 +482,7 @@ def read_graph(path: str) -> OrderedGraph:
     outside {1,...,n} are rejected with the offending line number.
     """
     (top, (n, m)), *records = _read_records(path, "graph", "n m", "u v")
-    if n < 1:
-        raise ValueError(f"line {top}: vertex count must be >= 1")
+    n = _integer(f"line {top}: vertex count", n, 1)
     if len(records) != m:
         raise ValueError(f"header announces {m} edges, file has {len(records)}")
     return OrderedGraph._trusted(

@@ -12,9 +12,9 @@ from dataclasses import MISSING, dataclass, field, fields
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .adversaries import AdversarySpec, _check_json_keys, _int_field, generate_colouring
+from .adversaries import AdversarySpec, _check_json_keys, generate_colouring
 from .colouring import STRICT_TAGS
-from .graphs import (OrderedGraph, _clean_scan, _finite, _write_lines, clean_subgraph,
+from .graphs import (OrderedGraph, _clean_scan, _finite, _integer, _write_lines, clean_subgraph,
                      enumerate_cliques, gnp_generate)
 from .search import (
     ArrowQuery,
@@ -100,23 +100,17 @@ class ExperimentConfig:
         for key in ("n_grid", "c_grid"):
             if not isinstance(getattr(self, key), (list, tuple)):
                 raise ValueError(f"{key} must be a list, got {getattr(self, key)!r}")
-        object.__setattr__(self, "n_grid", tuple(_int_field("n_grid", n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid", tuple(_integer("n_grid", n, 1) for n in self.n_grid))
         if any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in self.c_grid):
             raise ValueError(f"c_grid must list numbers, got {list(self.c_grid)!r}")
         object.__setattr__(self, "c_grid", tuple(float(c) for c in self.c_grid))
-        for key in ("ell", "trials", "master_seed", "budget"):
-            _int_field(key, getattr(self, key))
+        for key, low in (("ell", 3), ("trials", 1), ("master_seed", -math.inf), ("budget", 1)):
+            object.__setattr__(self, key, _integer(key, getattr(self, key), low))
         if not isinstance(self.clean_mode, bool):
             raise ValueError(f"clean_mode must be true or false, got {self.clean_mode!r}")
         if not isinstance(self.adversary, AdversarySpec):
             raise ValueError(f"adversary must be an AdversarySpec, got {self.adversary!r}")
-        if self.ell < 3:
-            raise ValueError("ell must be >= 3")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if not self.n_grid or any(n < 1 for n in self.n_grid):
+        if not self.n_grid:
             raise ValueError("n_grid must list positive vertex counts")
         if not self.c_grid or not all(0 < c < math.inf for c in self.c_grid):
             raise ValueError(f"c_grid must list positive reals, got {list(self.c_grid)!r}")
@@ -230,9 +224,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     """Wilson score interval for a binomial proportion; ``z`` must be finite
     and >= 0."""
     z = _finite("z", z, 0)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0 <= successes <= trials:
+    trials = _integer("trials", trials, 1)
+    if not _integer("successes", successes, 0) <= trials:
         raise ValueError("successes must lie in [0, trials]")
     phat = successes / trials
     z2 = z * z

@@ -17,7 +17,7 @@ from .colouring import (
     _tags,
     witness_for,
 )
-from .graphs import OrderedGraph, _extend_cliques, bits, enumerate_cliques, vertex_mask
+from .graphs import OrderedGraph, _extend_cliques, _integer, bits, enumerate_cliques, vertex_mask
 
 __all__ = [
     "ArrowQuery",
@@ -59,10 +59,8 @@ class ArrowQuery:
     r: int
 
     def __post_init__(self) -> None:
-        if self.ell < 3:
-            raise ValueError("ell must be >= 3")
-        if self.r < 2:
-            raise ValueError("r must be >= 2")
+        object.__setattr__(self, "ell", _integer("ell", self.ell, 3))
+        object.__setattr__(self, "r", _integer("r", self.r, 2))
 
 
 @dataclass(frozen=True)
@@ -104,8 +102,7 @@ def _first_clique(phi: EdgeColouring, ell: int, within: Optional[Iterable[int]],
     which are only those that can still complete by count: v closes the
     clique, or at least the missing number of common neighbours lie above v.
     """
-    if ell < 3:
-        raise ValueError("ell must be >= 3")
+    ell = _integer("ell", ell, 3)
     rows = phi._rows
     nodes = 0
 
@@ -244,8 +241,7 @@ def arrows_mono(graph: OrderedGraph, query: ArrowQuery,
 def restricted_growth_strings(m: int) -> Iterator[tuple[int, ...]]:
     """Every restricted-growth string of length m, i.e. every set partition
     of m items encoded by block indices, in lexicographic order."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m = _integer("m", m, 0)
     if m == 0:
         yield ()
         return
@@ -272,8 +268,7 @@ def canonical_arrow_exhaustive(graph: OrderedGraph, ell: int) -> ExhaustiveArrow
 
     Guarded at 12 edges; the partition count is the Bell number of |E|.
     """
-    if ell < 3:
-        raise ValueError("ell must be >= 3")
+    ell = _integer("ell", ell, 3)
     m = graph.edge_count
     if m > _EXHAUSTIVE_EDGE_GUARD:
         raise TooManyEdges(f"{m} edges exceeds the guard of {_EXHAUSTIVE_EDGE_GUARD}")

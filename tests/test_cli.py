@@ -276,7 +276,7 @@ def test_summary_path_that_is_a_directory_exits_2(tmp_path, monkeypatch, capsys)
                  '"adversary": {"kind": "RandomR", "r": 2, "seed": -1}}',
      "seed must be >= 0, got -1"),
     ("--config", '{"ell": 4, "n_grid": [12], "c_grid": [1.0], "trials": 2, "master_seed": 1, '
-                 '"adversary": {"kind": "GreedyProper"}, "budget": 0}', "budget must be >= 1"),
+                 '"adversary": {"kind": "GreedyProper"}, "budget": 0}', "budget must be >= 1, got 0"),
     ("--config", '{"ell": 4, "n_grid": [12], "c_grid": [NaN], "trials": 2, "master_seed": 1, '
                  '"adversary": {"kind": "GreedyProper"}}', "c_grid must list positive reals, got [nan]"),
     ("--config", '{"ell": 4, "n_grid": [12], "c_grid": [Infinity], "trials": 2, "master_seed": 1, '
