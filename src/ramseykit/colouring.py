@@ -8,7 +8,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, filterfalse
 from operator import ge, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -121,9 +121,13 @@ class EdgeColouring:
         return c
 
     def get(self, u: int, v: int) -> Optional[int]:
-        """The colour of edge uv, or None if uv is not an edge."""
+        """The colour of edge uv, or None if uv is not an edge (also when an
+        endpoint is not a vertex: outside {1,...,n}, or a float or bool)."""
         n = self.host.n
-        if not (0 < u <= n and 0 < v <= n):  # read no row for a vertex outside the host
+        # read no row for a non-vertex: the range first, then one type test
+        # per endpoint (a Python int passes the first half of _is_int without the call)
+        if not (0 < u <= n and 0 < v <= n and (type(u) is int or _is_int(u))
+                and (type(v) is int or _is_int(v))):
             return None
         c = self._rows[u][v]
         return c if c >= 0 else None
@@ -244,6 +248,10 @@ def _clique_colours(phi: EdgeColouring, verts: tuple[int, ...]) -> tuple[int, ..
         try:
             colours.append(phi.colour(u, w))
         except KeyError:
+            # get answers None for a float or bool vertex; refuse it by the vertex
+            # rule (an integer outside {1,...,n} just makes its edges absent)
+            for v in filterfalse(_is_int, verts):
+                _vertex(phi.host.n, v)
             raise NotAClique(f"edge ({u},{w}) absent") from None
     return tuple(colours)
 

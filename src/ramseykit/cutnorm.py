@@ -465,6 +465,7 @@ def cutnorm_heuristic(f: WeightedGraph, restarts: int = 20, seed: int = 0) -> fl
     Raises ValueError when the absolute weights have no finite total.
     """
     restarts = _integer("restarts", restarts, 1)
+    seed = _integer("seed", seed, 0)
     _refuse_overflow(f)
     n = f.n
     M = f.w
@@ -499,12 +500,25 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _DIRECT_PATTERN_GUARD = 5
 
 
+# A sum of count * n^k operand terms over the k touched pattern vertices is
+# summed directly up to this many terms; above it numpy's optimized contraction
+# path is faster (K3 goes direct up to n = 22, C4 up to n = 9).
+_DIRECT_SUM_TERMS = 1 << 15
+
+
 @lru_cache(maxsize=64)
-def _einsum_path(spec: str, n: int, count: int) -> tuple:
-    """The contraction path ``optimize=True`` picks for ``spec`` over
-    ``count`` n x n operands; it depends on the shapes only."""
-    shape_only = np.empty((n, n))
-    return tuple(np.einsum_path(spec + "->", *([shape_only] * count), optimize=True)[0])
+def _hom_plan(pattern: PatternGraph, n: int) -> tuple[str, int, bool | tuple, int, int]:
+    """How ``hom_density`` sums ``pattern`` over n x n weights: the einsum
+    spec, the operand count, the ``optimize`` argument (False for one direct
+    sum, else the path ``optimize=True`` picks, which depends on the shapes
+    only) and the factors n^isolated and n^ell."""
+    spec = ",".join(_LETTERS[u - 1] + _LETTERS[v - 1] for u, v in sorted(pattern.edges)) + "->"
+    count = pattern.edge_count
+    touched = len({v for e in pattern.edges for v in e})
+    optimize = False
+    if count * n**touched > _DIRECT_SUM_TERMS:
+        optimize = tuple(np.einsum_path(spec, *([np.empty((n, n))] * count), optimize=True)[0])
+    return spec, count, optimize, n ** (pattern.ell - touched), n**pattern.ell
 
 
 def hom_density(f: WeightedGraph, pattern: PatternGraph) -> float:
@@ -512,8 +526,10 @@ def hom_density(f: WeightedGraph, pattern: PatternGraph) -> float:
     pattern's edges, with f(v,v) = 0 killing adjacent repeats.
 
     Indicator weights with complete patterns route through exact clique
-    counting; other inputs are summed directly (guarded at 5 pattern
-    vertices).
+    counting; other inputs are summed by einsum (guarded at 5 pattern
+    vertices) along a plan cached per (pattern, n): one direct sum while it
+    has at most ``_DIRECT_SUM_TERMS`` operand terms, else numpy's optimized
+    contraction path, found once.
     """
     n = f.n
     ell = pattern.ell
@@ -525,12 +541,8 @@ def hom_density(f: WeightedGraph, pattern: PatternGraph) -> float:
         return count_cliques(host, ell) / n**ell
     if ell > _DIRECT_PATTERN_GUARD:
         raise TooLarge(f"direct summation guarded at {_DIRECT_PATTERN_GUARD} pattern vertices")
-    spec = ",".join(_LETTERS[u - 1] + _LETTERS[v - 1] for u, v in sorted(pattern.edges))
-    count = pattern.edge_count
-    value = float(np.einsum(spec + "->", *([f.w] * count), optimize=_einsum_path(spec, n, count)))
-    touched = {v for e in pattern.edges for v in e}
-    isolated = ell - len(touched)
-    return value * n**isolated / n**ell
+    spec, count, optimize, lift, volume = _hom_plan(pattern, n)
+    return float(np.einsum(spec, *([f.w] * count), optimize=optimize)) * lift / volume
 
 
 def counting_lemma_check(f: WeightedGraph, g: WeightedGraph,
@@ -555,6 +567,7 @@ def sample_graph_from_weights(d: WeightedGraph, seed: int) -> OrderedGraph:
     """
     if not d.in_unit_range():
         raise RangeViolation("edge probabilities must lie in [0,1]")
+    seed = _integer("seed", seed, 0)
     us, vs, _, _ = _pair_table(d.n)
     return _sample_pairs(d.n, d.w[us - 1, vs - 1], seed)
 

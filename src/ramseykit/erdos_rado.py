@@ -295,6 +295,7 @@ def rainbow_by_sampling(phi: EdgeColouring, us, ell: int, delta: float,
     """
     _require_complete(phi)
     ell = _integer("ell", ell, 3)
+    seed = _integer("seed", seed, 0)
     u_sorted = tuple(sorted(set(us)))
     size, degrees = _max_degrees(phi, u_sorted)
     cap = _finite("delta", delta, 0) * size
@@ -335,6 +336,7 @@ def er_find(phi: EdgeColouring, ell: int, seed: int = 0) -> ErResult:
     finds nothing (tiny hosts such as K_3 under a bad colouring).
     """
     _require_complete(phi)
+    seed = _integer("seed", seed, 0)
     outcome = _sequence(phi, ErConstants.for_clique(ell), ell)
     if isinstance(outcome, NeighbourhoodSequence):
         witness = extract_canonical(outcome, ell)

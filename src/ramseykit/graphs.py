@@ -177,8 +177,13 @@ class OrderedGraph:
         return self._adj[_vertex(self.n, v)]
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Is uv an edge?  False whenever an endpoint lies outside {1,...,n}."""
-        return 1 <= u <= self.n and 1 <= v <= self.n and bool(self._adj[u] >> v & 1)
+        """Is uv an edge?  False whenever an endpoint is not a vertex: outside
+        {1,...,n}, or a float or bool inside it."""
+        n = self.n
+        # the range first, then one type test per endpoint (a Python int
+        # passes the first half of _is_int without the call)
+        return (0 < u <= n and 0 < v <= n and (type(u) is int or _is_int(u))
+                and (type(v) is int or _is_int(v)) and bool(self._adj[u] >> v & 1))
 
     def degree(self, v: int) -> int:
         return self._adj[_vertex(self.n, v)].bit_count()
@@ -230,7 +235,8 @@ def gnp_generate(n: int, p: float, seed: int) -> GnpSample:
     """
     p = _finite("p", p, 0, 1)
     n = _integer("n", n, 1)
-    return GnpSample(_sample_pairs(n, p, seed), p, int(seed))
+    seed = _integer("seed", seed, 0)
+    return GnpSample(_sample_pairs(n, p, seed), p, seed)
 
 
 _PAIR_CAP = 1 << 20  # pairs cached over every n together

@@ -73,11 +73,14 @@ def derive_seed(*parts: int) -> int:
 
     Feeding (master_seed, n, C-index, trial) makes every cell independently
     reproducible; the C grid index is mixed instead of the float C so the
-    derivation never touches float hashing.
+    derivation never touches float hashing.  A part that is not an integer
+    (a float, bool or string) is refused with ValueError.
     """
     h = 0
     for part in parts:
-        h = _splitmix64(h ^ (int(part) & _MASK64))
+        if type(part) is not int:  # one type test per part; numpy integers pass _integer
+            part = _integer("seed part", part)
+        h = _splitmix64(h ^ (part & _MASK64))
     return h
 
 

@@ -30,10 +30,16 @@ from ramseykit import (
     two_density,
     write_weighted,
 )
-from ramseykit.cutnorm import (_chunk_bounds, _einsum_path, _pair_max, _separable_bounds,
-                               _subset_bits, _subset_sums)
+from ramseykit.cutnorm import (_DIRECT_SUM_TERMS, _chunk_bounds, _hom_plan, _pair_max,
+                               _separable_bounds, _subset_bits, _subset_sums)
 
 K3 = PatternGraph.complete(3)
+C4 = PatternGraph.cycle(4)
+FIVE = PatternGraph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (2, 5)])
+# patterns of at most 5 vertices with at least one edge
+SMALL_PATTERNS = st.integers(2, 5).flatmap(lambda ell: st.builds(
+    PatternGraph, st.just(ell),
+    st.sets(st.sampled_from(list(itertools.combinations(range(1, ell + 1), 2))), min_size=1)))
 
 
 def random_weights(n, rng, lo=0.0, hi=1.0):
@@ -495,28 +501,51 @@ class TestHomDensity:
         with pytest.raises(TooLarge):
             hom_density(f, PatternGraph.path(6))
 
-    @pytest.mark.parametrize("pattern", [
-        K3, PatternGraph.cycle(4), PatternGraph.path(3),
-        PatternGraph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (2, 5)]),
-    ])
+    @pytest.mark.parametrize("pattern", [K3, C4, PatternGraph.path(3), FIVE])
     @pytest.mark.parametrize("n", [3, 10, 30])
     def test_cached_path_is_bit_identical(self, pattern, n):
+        # pinned to one uncached einsum call along the route the plan picks:
+        # a direct sum up to _DIRECT_SUM_TERMS operand terms, else the path
+        # optimize=True finds (every pattern here touches all its vertices)
         f = random_weights(n, np.random.default_rng(n))
         spec = ",".join(chr(96 + u) + chr(96 + v) for u, v in sorted(pattern.edges))
-        uncached = float(np.einsum(spec + "->", *([f.w] * pattern.edge_count), optimize=True))
-        for _ in range(2):  # the second call reads the cached path
+        terms = pattern.edge_count * n**pattern.ell
+        uncached = float(np.einsum(spec + "->", *([f.w] * pattern.edge_count),
+                                   optimize=terms > _DIRECT_SUM_TERMS))
+        for _ in range(2):  # the second call reads the cached plan
             assert hom_density(f, pattern) == uncached / n**pattern.ell
+
+    @pytest.mark.parametrize("pattern, n, direct", [(K3, 10, True), (K3, 22, True), (K3, 30, False),
+                                                    (C4, 8, True), (C4, 10, False), (FIVE, 10, False)])
+    def test_plan_route(self, pattern, n, direct):
+        spec, count, optimize, _, _ = _hom_plan(pattern, n)
+        if direct:
+            assert optimize is False
+        else:
+            assert list(optimize) == np.einsum_path(spec, *([np.empty((n, n))] * count), optimize=True)[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(SMALL_PATTERNS, st.integers(3, 24), st.integers(0, 2**32 - 1))
+    @example(K3, 22, 0)  # the last n that K3 sums directly
+    @example(K3, 23, 0)
+    def test_routes_agree(self, pattern, n, seed):
+        # nonnegative weights, so neither sum cancels
+        f = random_weights(n, np.random.default_rng(seed))
+        spec, count, _, lift, volume = _hom_plan(pattern, n)
+        direct = float(np.einsum(spec, *([f.w] * count)))
+        path = float(np.einsum(spec, *([f.w] * count), optimize=True))
+        assert math.isclose(direct, path, rel_tol=1e-12)
+        assert math.isclose(hom_density(f, pattern), direct * lift / volume, rel_tol=1e-12)
 
     def test_patterns_do_not_share_a_path(self):
         # the same n and edge count, different contractions
-        c4 = PatternGraph.cycle(4)
         paw = PatternGraph.from_edges(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
         f = random_weights(10, np.random.default_rng(6))
-        _einsum_path.cache_clear()
-        assert hom_density(f, c4) == pytest.approx(brute_hom_density(f, c4))
+        _hom_plan.cache_clear()
+        assert hom_density(f, C4) == pytest.approx(brute_hom_density(f, C4))
         assert hom_density(f, paw) == pytest.approx(brute_hom_density(f, paw))
-        assert _einsum_path.cache_info().currsize == 2
-        assert _einsum_path("ab,ad,bc,cd", 10, 4) != _einsum_path("ab,ac,bc,cd", 10, 4)
+        assert _hom_plan.cache_info().currsize == 2
+        assert _hom_plan(C4, 10)[2] != _hom_plan(paw, 10)[2]
 
 
 class TestCountingLemma:

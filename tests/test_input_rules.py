@@ -1,9 +1,10 @@
-"""The three input rules: an integer size or count, a vertex of {1,...,n},
-and an edge colouring, each checked where it enters.
+"""The three input rules: an integer size, count or seed, a vertex of
+{1,...,n}, and an edge colouring, each checked where it enters.
 
 Every public function and constructor that takes a size refuses 3.5, 3.0 and
 True with a ValueError naming the parameter, and gives the same result for a
-numpy integer as for the int it equals."""
+numpy integer as for the int it equals; so does every one that takes a seed.
+The scalar lookups answer a non-vertex with no edge."""
 
 import json
 import re
@@ -24,9 +25,11 @@ from ramseykit import (
     arrows_mono,
     build_sequence,
     canonical_arrow_exhaustive,
+    classify_copy,
     clean_subgraph,
     count_cliques,
     cutnorm_heuristic,
+    derive_seed,
     enumerate_cliques,
     er_find,
     extract_canonical,
@@ -38,7 +41,9 @@ from ramseykit import (
     rainbow_by_sampling,
     read_colouring,
     restricted_growth_strings,
+    sample_graph_from_weights,
     wilson_interval,
+    witness_for,
 )
 
 K5 = OrderedGraph.complete(5)
@@ -47,6 +52,8 @@ INJECTIVE_K5 = generate_colouring(K5, AdversarySpec("Injective"))
 INJECTIVE_K12 = generate_colouring(OrderedGraph.complete(12), AdversarySpec("Injective"))
 TWO_COLOURED_K30 = generate_colouring(OrderedGraph.complete(30), AdversarySpec("RandomR", r=2, seed=1))
 SEQUENCE = build_sequence(TWO_COLOURED_K30, ErConstants.for_clique(3))
+_UPPER = np.triu(np.random.default_rng(0).uniform(-1.0, 1.0, (8, 8)), 1)
+SIGNED_8 = WeightedGraph(_UPPER + _UPPER.T)
 
 
 def _config(**kwargs) -> ExperimentConfig:
@@ -214,3 +221,53 @@ def test_colouring_check_is_shared_by_constructor_and_reader(tmp_path):
             path.write_text(text.replace("3 4\n", "3 3\n"))
             with pytest.raises(ValueError, match=message):
                 read_colouring(str(path), host)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda seed: gnp_generate(12, 0.5, seed).graph, id="gnp_generate"),
+    pytest.param(lambda seed: sample_graph_from_weights(WeightedGraph.constant(12, 0.5), seed),
+                 id="sample_graph_from_weights"),
+    pytest.param(lambda seed: cutnorm_heuristic(SIGNED_8, 2, seed), id="cutnorm_heuristic"),
+    pytest.param(lambda seed: rainbow_by_sampling(INJECTIVE_K12, range(1, 13), 3, 0.5, seed),
+                 id="rainbow_by_sampling"),
+    pytest.param(lambda seed: er_find(TWO_COLOURED_K30, 3, seed).witness, id="er_find"),
+])
+def test_seed_is_a_nonnegative_integer(call):
+    # numpy's SeedSequence raised a TypeError that did not name the seed, and
+    # er_find took any seed on the branches that do not sample
+    for bad in (1.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(bad))}$"):
+            call(bad)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        call(-1)
+    assert call(np.uint64(7)) == call(7)
+
+
+def test_derive_seed_parts_are_integers():
+    # int() rounded each part: derive_seed(1.5) == derive_seed(1)
+    for bad in (1.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match=f"^seed part must be an integer, got {re.escape(repr(bad))}$"):
+            derive_seed(1, bad)
+    assert derive_seed(np.int64(1), np.uint64(60), 0, 0) == derive_seed(1, 60, 0, 0)
+    assert derive_seed(-1) == derive_seed(2**64 - 1)
+
+
+@pytest.mark.parametrize("u, v", [(1.5, 2), (2, 1.5), (2.0, 3), (3, np.float64(2.0)),
+                                  (True, 2), (2, True)])
+def test_scalar_lookups_answer_a_non_vertex_with_no_edge(u, v):
+    # has_edge(1.5, 2) raised TypeError and has_edge(True, 2) read vertex 1;
+    # get(1.5, 2) and get(True, 2) raised IndexError
+    assert K5.has_edge(u, v) is False
+    assert INJECTIVE_K5.get(u, v) is None
+    assert K5.has_edge(np.int64(2), np.int32(3)) is True
+    assert INJECTIVE_K5.get(np.int64(2), np.int32(3)) == INJECTIVE_K5.get(2, 3)
+
+
+@pytest.mark.parametrize("verts, bad", [((1, 2.0, 3), 2.0), ((1.0, 2, 3), 1.0), ((1, 2, 3.5), 3.5),
+                                        ((True, 2, 3), True)])
+def test_copies_refuse_a_non_integer_vertex(verts, bad):
+    # (1, 2.0, 3) raised TypeError, and (True, 2, 3) was read as (1, 2, 3)
+    for check in (classify_copy, witness_for):
+        with pytest.raises(ValueError, match=f"^vertex {re.escape(str(bad))} outside \\{{1,...,5\\}}$"):
+            check(INJECTIVE_K5, verts)
+    assert witness_for(INJECTIVE_K5, (np.int64(1), 2, 3)) == witness_for(INJECTIVE_K5, (1, 2, 3))
