@@ -108,4 +108,4 @@ from .search import (
     restricted_growth_strings,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

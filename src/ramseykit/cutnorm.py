@@ -62,12 +62,17 @@ class HypothesisViolated(Exception):
 
 
 class WeightedGraph:
-    """Symmetric real weights on vertex pairs of {1,...,n}, zero diagonal."""
+    """Symmetric real weights on vertex pairs of {1,...,n}, zero diagonal.
+
+    The weights ``w`` are the graph's own read-only float64 array: the
+    constructor copies the matrix it is given, so neither that matrix nor
+    ``w`` can change the graph afterwards.
+    """
 
     __slots__ = ("n", "w")
 
     def __init__(self, matrix) -> None:
-        w = np.asarray(matrix, dtype=np.float64)
+        w = np.array(matrix, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weight matrix must be square")
         _integer("vertex count", w.shape[0], 1)
@@ -77,11 +82,14 @@ class WeightedGraph:
             raise ValueError("weights must be symmetric")
         if np.any(np.diagonal(w) != 0.0):
             raise ValueError("diagonal must be zero")
+        w.flags.writeable = False
         self.n, self.w = int(w.shape[0]), w
 
     @classmethod
     def _trusted(cls, w: np.ndarray) -> "WeightedGraph":
-        """Wrap a symmetric zero-diagonal float matrix the library computed, unchecked."""
+        """Wrap a symmetric zero-diagonal float matrix the library computed,
+        unchecked, and make it read-only."""
+        w.flags.writeable = False
         f = cls.__new__(cls)
         f.n, f.w = int(w.shape[0]), w
         return f
@@ -112,10 +120,10 @@ class WeightedGraph:
         return 0.0 if u == v else float(self.w[u - 1, v - 1])
 
     def is_indicator(self) -> bool:
-        return bool(np.all((self.w == 0.0) | (self.w == 1.0)))
+        return bool(((self.w == 0.0) | (self.w == 1.0)).all())
 
     def in_unit_range(self) -> bool:
-        return bool(np.all(self.w >= 0.0) and np.all(self.w <= 1.0))
+        return bool(self.w.min() >= 0.0 and self.w.max() <= 1.0)
 
     def __sub__(self, other: "WeightedGraph") -> "WeightedGraph":
         self._check_compatible(other)

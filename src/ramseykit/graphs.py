@@ -121,27 +121,34 @@ class OrderedGraph:
     is set iff uv is an edge), so neighbourhood intersections cost one word
     operation per 64 vertices.  The sorted edges are also kept as two
     endpoint arrays ``_us``, ``_vs`` for numpy work on whole edge sets.
-    Instances are immutable after construction and safe to share read-only
+    A graph the library samples or derives (G(n,p), weighted samples,
+    ``complete``, clean subgraphs) keeps its edges' positions ``_idx`` in the
+    shared pair table instead of an edge tuple, and fills ``edges`` on first
+    read; every thread that reads it gets the same value.  Instances are
+    otherwise immutable after construction and safe to share read-only
     across parallel workers.
     """
 
-    __slots__ = ("n", "_adj", "_edges", "_us", "_vs")
+    __slots__ = ("n", "_adj", "_edges", "_us", "_vs", "_idx")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         self.n = n = _integer("vertex count", n, 1)
         self._adj, self._edges, self._us, self._vs = _checked_graph(
             n, (("", u, v) for u, v in edges))
+        self._idx = None
 
     @classmethod
-    def _trusted(cls, n: int, adj: list[int], edges: tuple[Edge, ...],
-                 us: np.ndarray, vs: np.ndarray) -> "OrderedGraph":
+    def _trusted(cls, n: int, adj: list[int], edges: Optional[tuple[Edge, ...]],
+                 us: np.ndarray, vs: np.ndarray,
+                 idx: Optional[np.ndarray] = None) -> "OrderedGraph":
         """Wrap bitset rows, their lexicographically sorted edge tuple and its
         endpoint arrays as computed by the library itself, without checking
-        them again."""
+        them again.  With ``edges`` None the tuple is built on first read
+        from ``idx``, the edges' positions in the lexicographic pair order."""
         graph = cls.__new__(cls)
         graph.n = n
         graph._adj = adj
-        graph._edges = edges
+        graph._edges, graph._idx = edges, idx
         graph._us, graph._vs = us, vs
         return graph
 
@@ -161,11 +168,23 @@ class OrderedGraph:
     @property
     def edges(self) -> tuple[Edge, ...]:
         """All edges as (u,v) with u < v, lexicographically sorted."""
-        return self._edges
+        edges = self._edges
+        if edges is None:
+            self._edges = edges = tuple(_pair_table(self.n)[2][self._idx].tolist())
+        return edges
+
+    def _edge_slices(self) -> Callable[[int, int], Sequence[Edge]]:
+        """``slices(start, end)`` gives ``edges[start:end]``, read from the
+        pair table while ``edges`` is not built, so as not to build it."""
+        if self._edges is not None:
+            edges = self._edges
+            return lambda start, end: edges[start:end]
+        pairs, idx = _pair_table(self.n)[2], self._idx
+        return lambda start, end: pairs[idx[start:end]].tolist()
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self._us)
 
     @property
     def vertex_bitmask(self) -> int:
@@ -194,10 +213,10 @@ class OrderedGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrderedGraph):
             return NotImplemented
-        return self.n == other.n and self._edges == other._edges
+        return self.n == other.n and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges))
+        return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
         return f"OrderedGraph(n={self.n}, m={self.edge_count})"
@@ -288,7 +307,7 @@ def _graph_from_pairs(n: int, idx: np.ndarray) -> OrderedGraph:
     """The graph on {1,...,n} whose edges are the pairs at the increasing
     positions ``idx`` of the lexicographic pair order, unchecked: the
     library computed them."""
-    iu, iv, pairs, slots = _pair_table(n)
+    iu, iv, _, slots = _pair_table(n)
     words = _row_words(n)
     flat = np.zeros((n + 1) * words * 64, dtype=bool)
     flat[slots.take(idx, axis=0)] = True
@@ -296,7 +315,7 @@ def _graph_from_pairs(n: int, idx: np.ndarray) -> OrderedGraph:
     adj = packed[::words]
     for j in range(1, words):  # word j of every row, above the words before it
         adj = [row | word << 64 * j for row, word in zip(adj, packed[j::words])]
-    return OrderedGraph._trusted(n, adj, tuple(pairs[idx].tolist()), iu[idx], iv[idx])
+    return OrderedGraph._trusted(n, adj, None, iu[idx], iv[idx], idx)
 
 
 @lru_cache(maxsize=4)
@@ -436,6 +455,9 @@ def clean_subgraph(graph: OrderedGraph, ell: int) -> OrderedGraph:
         return graph
     keep = np.ones(graph.edge_count, dtype=bool)
     keep[removed] = False
+    if graph._idx is not None:
+        return OrderedGraph._trusted(graph.n, adj, None, graph._us[keep], graph._vs[keep],
+                                     graph._idx[keep])
     edges = tuple(compress(graph.edges, keep.tolist()))
     return OrderedGraph._trusted(graph.n, adj, edges, graph._us[keep], graph._vs[keep])
 

@@ -774,3 +774,50 @@ class TestWeightedGraphObject:
         path.write_text("3\n1 2 0.5\n2 3 0.25\n1 3 0.75\n")
         with pytest.raises(ValueError, match="line 3"):
             read_weighted(str(path))
+
+    def test_caller_array_cannot_change_the_graph(self):
+        a = np.array([[0.0, 0.5, 0.25], [0.5, 0.0, 1.0], [0.25, 1.0, 0.0]])
+        f = WeightedGraph(a)
+        a[0, 1] = a[1, 0] = 2.0
+        assert f.w[0, 1] == 0.5
+        # a float64 array is copied too, not kept as the graph's weights
+        assert not np.shares_memory(f.w, a)
+
+    @pytest.mark.parametrize("make", [
+        lambda: WeightedGraph(np.zeros((4, 4))),
+        lambda: WeightedGraph.zeros(4),
+        lambda: WeightedGraph.constant(4, 0.5),
+        lambda: WeightedGraph.indicator(OrderedGraph.complete(4)),
+        lambda: WeightedGraph.constant(4, 0.5) - WeightedGraph.zeros(4),
+        lambda: WeightedGraph.constant(4, 0.5) + WeightedGraph.zeros(4),
+        lambda: 2 * WeightedGraph.constant(4, 0.5),
+        lambda: random_weights(4, np.random.default_rng(3)),
+    ], ids=["matrix", "zeros", "constant", "indicator", "sub", "add", "mul", "random"])
+    def test_weights_are_read_only(self, make):
+        f = make()
+        before = f.w.copy()
+        assert not f.w.flags.writeable
+        for i, j, x in [(0, 1, 7.0), (2, 2, 3.0)]:
+            with pytest.raises(ValueError, match="read-only"):
+                f.w[i, j] = x
+        assert np.array_equal(f.w, before)
+
+    def test_read_weights_are_read_only(self, tmp_path):
+        path = tmp_path / "w.txt"
+        write_weighted(random_weights(5, np.random.default_rng(4)), str(path))
+        f = read_weighted(str(path))
+        with pytest.raises(ValueError, match="read-only"):
+            f.w[0, 1] = 7.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32),
+           values=st.lists(st.sampled_from([0.0, -0.0, 1.0, 0.5, -1e-300, 1.0 + 2**-52, 2.0, -1.0]),
+                           min_size=1, max_size=4))
+    def test_facts_match_elementwise_reference(self, n, seed, values):
+        # weights drawn from a few values around the two facts' boundaries
+        rng = np.random.default_rng(seed)
+        a = np.triu(rng.choice(values, size=(n, n)), 1)
+        f = WeightedGraph(a + a.T)
+        w = f.w
+        assert f.is_indicator() == all(x in (0.0, 1.0) for x in w.ravel().tolist())
+        assert f.in_unit_range() == all(0.0 <= x <= 1.0 for x in w.ravel().tolist())

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -194,6 +195,70 @@ class TestPairSampling:
         assert graph._adj == expected._adj
         assert graph._us.tolist() == expected._us.tolist()
         assert graph._vs.tolist() == expected._vs.tolist()
+
+
+def _weighted_sample(n, seed):
+    upper = np.triu(np.random.default_rng(seed).random((n, n)), 1)
+    return sample_graph_from_weights(WeightedGraph(upper + upper.T), seed)
+
+
+def _cleaned(ell):
+    graph = gnp_generate(40, 0.5, 3).graph
+    cleaned = clean_subgraph(graph, ell)
+    assert cleaned.edge_count < graph.edge_count  # the scan deleted edges
+    return cleaned
+
+
+# graphs the library samples or derives, which build their edge tuple on first read
+LAZY_GRAPHS = {
+    **{f"gnp-{n}-{p}": (lambda n=n, p=p: gnp_generate(n, p, 11).graph)
+       for n in (1, 2, 60, 120) for p in (0.0, 0.3, 1.0)},
+    **{f"complete-{n}": (lambda n=n: OrderedGraph.complete(n)) for n in (1, 2, 60)},
+    "weighted-30": lambda: _weighted_sample(30, 5),
+    "clean-4": lambda: _cleaned(4),
+    "clean-5": lambda: _cleaned(5),
+}
+
+
+def edges_from_rows(graph):
+    """The graph's edges read from its bitset rows, not from its edge tuple."""
+    return [(u, v) for u in graph.vertices for v in graphs.bits(graph._adj[u]) if v > u]
+
+
+class TestLazyEdges:
+    @pytest.mark.parametrize("make", LAZY_GRAPHS.values(), ids=LAZY_GRAPHS.keys())
+    def test_lazy_tuple_equals_the_validated_one(self, make):
+        graph = make()
+        assert graph._edges is None
+        expected = OrderedGraph(graph.n, edges_from_rows(graph))
+        assert graph.edge_count == expected.edge_count
+        assert graph._edges is None  # the count reads the endpoint arrays
+        assert graph == expected and graph._edges is not None
+        assert type(graph.edges) is tuple and graph.edges == expected.edges
+        assert graph.edges is graph.edges  # built once
+        assert graph._us.tolist() == expected._us.tolist()
+        assert graph._vs.tolist() == expected._vs.tolist()
+        # each of ==, hash and a pickle round trip on a graph whose tuple is unbuilt
+        assert expected == make()
+        assert hash(make()) == hash(expected)
+        back = pickle.loads(pickle.dumps(make()))
+        assert back._edges is None and back._adj == expected._adj
+        assert back == expected and back.edges == expected.edges
+
+    @pytest.mark.parametrize("ell", [4, 5])
+    def test_clean_subgraph_of_given_edges_keeps_its_tuple(self, ell):
+        sampled = gnp_generate(40, 0.5, 3).graph
+        eager = OrderedGraph(40, edges_from_rows(sampled))
+        assert eager._idx is None and eager._edges is not None
+        cleaned = clean_subgraph(eager, ell)
+        assert cleaned._idx is None and type(cleaned._edges) is tuple
+        assert cleaned == clean_subgraph(sampled, ell)
+
+    def test_read_graph_keeps_its_tuple(self, tmp_path):
+        path = tmp_path / "g.txt"
+        write_graph(gnp_generate(20, 0.4, 2).graph, str(path))
+        graph = read_graph(str(path))
+        assert graph._idx is None and type(graph._edges) is tuple
 
 
 class TestCliques:

@@ -18,14 +18,17 @@ from ramseykit import (
     AdversarySpec,
     EdgeColouring,
     ErConstants,
+    ExperimentConfig,
     OrderedGraph,
     build_sequence,
+    clean_subgraph,
     enumerate_cliques,
     find_canonical_copy,
     find_rainbow_copy,
     generate_colouring,
     gnp_generate,
     max_colour_multiplicity,
+    run_sweep,
     write_colouring,
 )
 from ramseykit.graphs import _extend_cliques, vertex_mask
@@ -159,6 +162,27 @@ class TestLazyGreedy:
         assert all(phi._rows[v] == matrix[v].tolist() for v in range(n + 1))
         assert phi == eager
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), p=densities, seed=st.integers(0, 2**32),
+           ell=st.sampled_from([None, 4, 5]))
+    def test_same_colours_whether_or_not_edges_were_read(self, data, n, p, seed, ell):
+        # ell None: G(n,p) itself; else its ell-clean subgraph, which is
+        # G(n,p) with its tuple built when the scan deletes no edge
+        def sample():
+            graph = gnp_generate(n, p, seed).graph
+            return graph if ell is None else clean_subgraph(graph, ell)
+
+        unread, read = sample(), sample()
+        edges = read.edges  # one graph's tuple is built before it is coloured
+        assert read._edges is edges
+        built = unread._edges is not None
+        phi, psi = lazy_greedy(unread), lazy_greedy(read)
+        for v in data.draw(st.lists(st.integers(0, n), max_size=n + 1)):
+            assert phi._rows[v] == psi._rows[v]
+        assert np.array_equal(phi._matrix, psi._matrix)
+        assert np.array_equal(phi._matrix, colour_matrix(read, eager_greedy(read)))
+        assert (unread._edges is not None) == built  # colouring built no tuple
+
     def test_rows_in_reverse_order_colour_once(self):
         graph = gnp_generate(30, 0.5, 7).graph
         phi = lazy_greedy(graph)
@@ -278,3 +302,30 @@ class TestRainbowSearchReads:
             assert not search(phi, 4).found
             assert phi._rows.filled == sum(1 for u, _ in graph.edges if u <= 11)
             assert max(phi._rows) == 11
+
+
+class TestSweepBuildsNoEdgeTuple:
+    """A criterion-07 rainbow trial reads a sampled graph's edges only
+    through its endpoint arrays and the pair table; building the edge tuple
+    as well would cost about 3% of the trial."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_search_leaves_the_tuple_unbuilt(self, seed):
+        graph = gnp_generate(120, 2.5 * 120 ** (-2 / 5), seed).graph
+        for search in SEARCHES:
+            outcome = search(lazy_greedy(graph), 4)
+            assert outcome.found
+        assert graph._edges is None
+
+    def test_sweep_reads_no_edge_tuple(self, monkeypatch):
+        def refuse(graph):
+            raise AssertionError("a rainbow trial read the edge tuple")
+
+        config = ExperimentConfig.from_json({
+            "ell": 4, "n_grid": [60, 120], "c_grid": [1.0, 2.5],
+            "adversary": {"kind": "GreedyProper"}, "trials": 5, "master_seed": 1})
+        expected = run_sweep(config).records
+        monkeypatch.setattr(OrderedGraph, "edges", property(refuse))
+        records = run_sweep(config).records
+        assert [r.witness for r in records] == [r.witness for r in expected]
+        assert any(r.found for r in records)
