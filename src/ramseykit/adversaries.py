@@ -99,12 +99,12 @@ def _greedy_proper(graph: OrderedGraph) -> Callable[[int, int], list[int]]:
     """The greedy colouring as a colour source: ``source(start, end)`` colours
     ``graph.edges[start:end]``, called on consecutive slices from 0."""
     used = [0] * (graph.n + 1)  # bitmask of the colours at each vertex
-    edges = graph._edge_slices()  # builds no edge tuple
+    us, vs = graph._us, graph._vs  # not graph.edges, which would build the whole tuple
     bit = _bit_table(graph.n)[0]
 
     def source(start: int, end: int) -> list[int]:
         colours = []
-        for u, v in edges(start, end):
+        for u, v in zip(us[start:end].tolist(), vs[start:end].tolist()):
             taken = used[u] | used[v]
             c = (taken ^ (taken + 1)).bit_length() - 1  # lowest colour absent at both ends
             colours.append(c)

@@ -97,14 +97,14 @@ class WeightedGraph:
     @classmethod
     def zeros(cls, n: int) -> "WeightedGraph":
         n = _integer("vertex count", n, 1)
-        return cls(np.zeros((n, n)))
+        return cls._trusted(np.zeros((n, n)))
 
     @classmethod
     def constant(cls, n: int, value: float) -> "WeightedGraph":
         n = _integer("vertex count", n, 1)
-        w = np.full((n, n), float(value))
+        w = np.full((n, n), _finite("weights", value))
         np.fill_diagonal(w, 0.0)
-        return cls(w)
+        return cls._trusted(w)
 
     @classmethod
     def indicator(cls, graph: OrderedGraph, scale: float = 1.0) -> "WeightedGraph":
@@ -544,7 +544,7 @@ def hom_density(f: WeightedGraph, pattern: PatternGraph) -> float:
     if not pattern.edges:
         return 1.0
     if f.is_indicator() and pattern.is_complete():
-        us, vs, _, _ = _pair_table(n)
+        us, vs, _ = _pair_table(n)
         host = _graph_from_pairs(n, np.flatnonzero(f.w[us - 1, vs - 1]))
         return count_cliques(host, ell) / n**ell
     if ell > _DIRECT_PATTERN_GUARD:
@@ -576,7 +576,7 @@ def sample_graph_from_weights(d: WeightedGraph, seed: int) -> OrderedGraph:
     if not d.in_unit_range():
         raise RangeViolation("edge probabilities must lie in [0,1]")
     seed = _integer("seed", seed, 0)
-    us, vs, _, _ = _pair_table(d.n)
+    us, vs, _ = _pair_table(d.n)
     return _sample_pairs(d.n, d.w[us - 1, vs - 1], seed)
 
 

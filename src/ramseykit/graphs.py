@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, islice
+from itertools import count, islice
 from threading import Lock
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -122,33 +122,30 @@ class OrderedGraph:
     operation per 64 vertices.  The sorted edges are also kept as two
     endpoint arrays ``_us``, ``_vs`` for numpy work on whole edge sets.
     A graph the library samples or derives (G(n,p), weighted samples,
-    ``complete``, clean subgraphs) keeps its edges' positions ``_idx`` in the
-    shared pair table instead of an edge tuple, and fills ``edges`` on first
-    read; every thread that reads it gets the same value.  Instances are
-    otherwise immutable after construction and safe to share read-only
-    across parallel workers.
+    ``complete``, clean subgraphs) builds the tuple ``edges`` from those
+    arrays on first read; every thread that reads it gets the same value.
+    Instances are otherwise immutable after construction and safe to share
+    read-only across parallel workers.
     """
 
-    __slots__ = ("n", "_adj", "_edges", "_us", "_vs", "_idx")
+    __slots__ = ("n", "_adj", "_edges", "_us", "_vs")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         self.n = n = _integer("vertex count", n, 1)
         self._adj, self._edges, self._us, self._vs = _checked_graph(
             n, (("", u, v) for u, v in edges))
-        self._idx = None
 
     @classmethod
     def _trusted(cls, n: int, adj: list[int], edges: Optional[tuple[Edge, ...]],
-                 us: np.ndarray, vs: np.ndarray,
-                 idx: Optional[np.ndarray] = None) -> "OrderedGraph":
+                 us: np.ndarray, vs: np.ndarray) -> "OrderedGraph":
         """Wrap bitset rows, their lexicographically sorted edge tuple and its
         endpoint arrays as computed by the library itself, without checking
-        them again.  With ``edges`` None the tuple is built on first read
-        from ``idx``, the edges' positions in the lexicographic pair order."""
+        them again.  With ``edges`` None the tuple is built from the
+        endpoint arrays on first read."""
         graph = cls.__new__(cls)
         graph.n = n
         graph._adj = adj
-        graph._edges, graph._idx = edges, idx
+        graph._edges = edges
         graph._us, graph._vs = us, vs
         return graph
 
@@ -170,17 +167,8 @@ class OrderedGraph:
         """All edges as (u,v) with u < v, lexicographically sorted."""
         edges = self._edges
         if edges is None:
-            self._edges = edges = tuple(_pair_table(self.n)[2][self._idx].tolist())
+            self._edges = edges = tuple(zip(self._us.tolist(), self._vs.tolist()))
         return edges
-
-    def _edge_slices(self) -> Callable[[int, int], Sequence[Edge]]:
-        """``slices(start, end)`` gives ``edges[start:end]``, read from the
-        pair table while ``edges`` is not built, so as not to build it."""
-        if self._edges is not None:
-            edges = self._edges
-            return lambda start, end: edges[start:end]
-        pairs, idx = _pair_table(self.n)[2], self._idx
-        return lambda start, end: pairs[idx[start:end]].tolist()
 
     @property
     def edge_count(self) -> int:
@@ -259,28 +247,26 @@ def gnp_generate(n: int, p: float, seed: int) -> GnpSample:
 
 
 _PAIR_CAP = 1 << 20  # pairs cached over every n together
-_pair_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+_pair_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 _pair_lock = Lock()
 
 
-def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pair (u, v), 1 <= u < v <= n, in lexicographic order, as two
-    read-only endpoint arrays, a read-only object array of the (u, v) tuples
-    and a read-only (pairs, 2) array of the pair's two bits in the bitset
-    rows of an n-vertex graph laid out back to back, each row a whole number
-    of 64-bit words: bit v of row u, then bit u of row v.  Shared by all
-    graphs on n vertices.  The most recently used n stay cached while they
-    hold at most _PAIR_CAP pairs together."""
+    read-only endpoint arrays and a read-only (pairs, 2) array of the pair's
+    two bits in the bitset rows of an n-vertex graph laid out back to back,
+    each row a whole number of 64-bit words: bit v of row u, then bit u of
+    row v.  Shared by all graphs on n vertices.  The most recently used n
+    stay cached while they hold at most _PAIR_CAP pairs together."""
     with _pair_lock:
         table = _pair_tables.pop(n, None)
         if table is None:
             us, vs = np.add(np.triu_indices(n, k=1), 1)
-            pairs = np.fromiter(zip(us.tolist(), vs.tolist()), dtype=object, count=len(us))
             row = _row_words(n) * 64
             slots = np.stack((us * row + vs, vs * row + us), axis=1)
-            for array in (us, vs, pairs, slots):
+            for array in (us, vs, slots):
                 array.flags.writeable = False
-            table = us, vs, pairs, slots
+            table = us, vs, slots
         _pair_tables[n] = table  # insertion order is use order, oldest first
         while sum(len(t[0]) for t in _pair_tables.values()) > _PAIR_CAP:
             del _pair_tables[next(iter(_pair_tables))]
@@ -307,7 +293,7 @@ def _graph_from_pairs(n: int, idx: np.ndarray) -> OrderedGraph:
     """The graph on {1,...,n} whose edges are the pairs at the increasing
     positions ``idx`` of the lexicographic pair order, unchecked: the
     library computed them."""
-    iu, iv, _, slots = _pair_table(n)
+    iu, iv, slots = _pair_table(n)
     words = _row_words(n)
     flat = np.zeros((n + 1) * words * 64, dtype=bool)
     flat[slots.take(idx, axis=0)] = True
@@ -315,7 +301,7 @@ def _graph_from_pairs(n: int, idx: np.ndarray) -> OrderedGraph:
     adj = packed[::words]
     for j in range(1, words):  # word j of every row, above the words before it
         adj = [row | word << 64 * j for row, word in zip(adj, packed[j::words])]
-    return OrderedGraph._trusted(n, adj, None, iu[idx], iv[idx], idx)
+    return OrderedGraph._trusted(n, adj, None, iu[idx], iv[idx])
 
 
 @lru_cache(maxsize=4)
@@ -401,10 +387,11 @@ def degree_into(graph: OrderedGraph, v: int, us: Iterable[int]) -> int:
     return (graph._adj[_vertex(graph.n, v)] & vertex_mask(graph, us)).bit_count()
 
 
-def _clean_scan(adj: list[int], edges: Sequence[Edge], ell: int) -> list[int]:
-    """Delete from the bitset rows ``adj``, in place, each edge uv of
-    ``edges`` (walked in order) that still lies in two distinct K_ell sharing
-    at least three vertices, and return the positions in ``edges`` deleted.
+def _clean_scan(adj: list[int], us: np.ndarray, vs: np.ndarray, ell: int) -> list[int]:
+    """Delete from the bitset rows ``adj``, in place, each edge uv of the
+    endpoint arrays ``us``, ``vs`` (walked in order) that still lies in two
+    distinct K_ell sharing at least three vertices, and return the positions
+    of the edges deleted.
 
     Two K_ell through uv share a third vertex w iff the link adj[w] & common
     of some w in common, the common neighbourhood of u and v, holds two
@@ -419,7 +406,7 @@ def _clean_scan(adj: list[int], edges: Sequence[Edge], ell: int) -> list[int]:
     bit, above = _bit_table(len(adj) - 1)
     size = ell - 2  # vertices that two distinct K_{ell-3} span at least
     removed = []
-    for i, (u, v) in enumerate(edges):
+    for i, u, v in zip(count(), us.tolist(), vs.tolist()):
         common = adj[u] & adj[v]
         if common.bit_count() <= size:
             continue
@@ -450,16 +437,12 @@ def clean_subgraph(graph: OrderedGraph, ell: int) -> OrderedGraph:
     """
     ell = _integer("ell", ell, 3)
     adj = list(graph._adj)
-    removed = _clean_scan(adj, graph.edges, ell)
+    removed = _clean_scan(adj, graph._us, graph._vs, ell)
     if not removed:
         return graph
     keep = np.ones(graph.edge_count, dtype=bool)
     keep[removed] = False
-    if graph._idx is not None:
-        return OrderedGraph._trusted(graph.n, adj, None, graph._us[keep], graph._vs[keep],
-                                     graph._idx[keep])
-    edges = tuple(compress(graph.edges, keep.tolist()))
-    return OrderedGraph._trusted(graph.n, adj, edges, graph._us[keep], graph._vs[keep])
+    return OrderedGraph._trusted(graph.n, adj, None, graph._us[keep], graph._vs[keep])
 
 
 def write_graph(graph: OrderedGraph, path: str) -> None:

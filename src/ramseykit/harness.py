@@ -358,7 +358,7 @@ def _clean_breach(graph: OrderedGraph, ell: int) -> Optional[str]:
     K_{ell+1} holds two K_ell sharing ell-1 >= 3 vertices, so it makes the
     scan delete an edge too, and only then is the graph searched for one.
     """
-    if not _clean_scan(list(graph._adj), graph.edges, ell):
+    if not _clean_scan(list(graph._adj), graph._us, graph._vs, ell):
         return None
     if next(enumerate_cliques(graph, ell + 1), None) is not None:
         return f"K_{ell + 1} present after cleaning"

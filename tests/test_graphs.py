@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramseykit import (
+    AdversarySpec,
     OrderedGraph,
     WeightedGraph,
     clean_subgraph,
@@ -17,6 +18,7 @@ from ramseykit import (
     degree_into,
     edge_count_between,
     enumerate_cliques,
+    generate_colouring,
     gnp_generate,
     read_graph,
     sample_graph_from_weights,
@@ -160,13 +162,13 @@ class TestPairSampling:
             return sum(len(us) for us, *_ in graphs._pair_tables.values())
 
         for n in (1000, 60, 120, 7):
-            us, vs, pairs, slots = _pair_table(n)
-            for table in (us, vs, pairs, slots):
+            us, vs, slots = _pair_table(n)
+            for table in (us, vs, slots):
                 assert not table.flags.writeable
                 with pytest.raises(ValueError):
                     table[0] = table[1]
             want = list(itertools.combinations(range(1, n + 1), 2))
-            assert pairs.tolist() == want and list(zip(us.tolist(), vs.tolist())) == want
+            assert list(zip(us.tolist(), vs.tolist())) == want
             # bit v of row u, then bit u of row v, in rows of whole 64-bit words
             rows, cols = np.divmod(slots, 64 * (n // 64 + 1))
             assert rows.tolist() == [[u, v] for u, v in want]
@@ -177,10 +179,11 @@ class TestPairSampling:
         # positions with it
         monkeypatch.setattr(graphs, "_pair_tables", {})
         monkeypatch.setattr(graphs, "_PAIR_CAP", 120)
-        slots = weakref.ref(_pair_table(10)[3])
+        slots = weakref.ref(_pair_table(10)[2])
         for n, cached in [(10, [10]), (12, [10, 12]), (10, [12, 10]), (8, [10, 8]),
                           (16, [16]), (17, [])]:
-            assert _pair_table(n)[2].tolist() == list(itertools.combinations(range(1, n + 1), 2))
+            us, vs, _ = _pair_table(n)
+            assert list(zip(us.tolist(), vs.tolist())) == list(itertools.combinations(range(1, n + 1), 2))
             assert list(graphs._pair_tables) == cached
             assert (slots() is None) == (10 not in cached)
         for n in range(1, 30):
@@ -202,8 +205,10 @@ def _weighted_sample(n, seed):
     return sample_graph_from_weights(WeightedGraph(upper + upper.T), seed)
 
 
-def _cleaned(ell):
+def _cleaned(ell, given=False):
     graph = gnp_generate(40, 0.5, 3).graph
+    if given:
+        graph = OrderedGraph(40, edges_from_rows(graph))
     cleaned = clean_subgraph(graph, ell)
     assert cleaned.edge_count < graph.edge_count  # the scan deleted edges
     return cleaned
@@ -215,8 +220,8 @@ LAZY_GRAPHS = {
        for n in (1, 2, 60, 120) for p in (0.0, 0.3, 1.0)},
     **{f"complete-{n}": (lambda n=n: OrderedGraph.complete(n)) for n in (1, 2, 60)},
     "weighted-30": lambda: _weighted_sample(30, 5),
-    "clean-4": lambda: _cleaned(4),
-    "clean-5": lambda: _cleaned(5),
+    **{f"clean-{ell}": (lambda ell=ell: _cleaned(ell)) for ell in (4, 5)},
+    **{f"clean-given-{ell}": (lambda ell=ell: _cleaned(ell, given=True)) for ell in (4, 5)},
 }
 
 
@@ -246,19 +251,32 @@ class TestLazyEdges:
         assert back == expected and back.edges == expected.edges
 
     @pytest.mark.parametrize("ell", [4, 5])
-    def test_clean_subgraph_of_given_edges_keeps_its_tuple(self, ell):
-        sampled = gnp_generate(40, 0.5, 3).graph
-        eager = OrderedGraph(40, edges_from_rows(sampled))
-        assert eager._idx is None and eager._edges is not None
-        cleaned = clean_subgraph(eager, ell)
-        assert cleaned._idx is None and type(cleaned._edges) is tuple
-        assert cleaned == clean_subgraph(sampled, ell)
+    def test_clean_subgraph_of_a_sample_matches_given_edges(self, ell):
+        assert _cleaned(ell) == _cleaned(ell, given=True)
 
     def test_read_graph_keeps_its_tuple(self, tmp_path):
         path = tmp_path / "g.txt"
         write_graph(gnp_generate(20, 0.4, 2).graph, str(path))
         graph = read_graph(str(path))
-        assert graph._idx is None and type(graph._edges) is tuple
+        assert type(graph._edges) is tuple
+
+    def test_reading_edges_builds_no_pair_table(self, monkeypatch):
+        # below the cap no table stays cached, so each call builds one
+        monkeypatch.setattr(graphs, "_pair_tables", {})
+        monkeypatch.setattr(graphs, "_PAIR_CAP", 100)
+        builds = []
+        build = graphs._pair_table
+        monkeypatch.setattr(graphs, "_pair_table", lambda n: builds.append(n) or build(n))
+        graph = gnp_generate(60, 0.5, 4).graph
+        assert builds == [60] and not graphs._pair_tables
+        greedy = AdversarySpec("GreedyProper")
+        phi = generate_colouring(graph, greedy)
+        psi = generate_colouring(OrderedGraph(60, edges_from_rows(graph)), greedy)
+        assert list(phi.items()) == list(psi.items())
+        assert graph.edges == OrderedGraph(60, edges_from_rows(graph)).edges
+        assert clean_subgraph(graph, 4).edges == clean_subgraph(
+            OrderedGraph(60, graph.edges), 4).edges
+        assert builds == [60]
 
 
 class TestCliques:

@@ -29,6 +29,7 @@ from ramseykit import (
     gnp_generate,
     max_colour_multiplicity,
     run_sweep,
+    verify_corollary_mode,
     write_colouring,
 )
 from ramseykit.graphs import _extend_cliques, vertex_mask
@@ -166,8 +167,7 @@ class TestLazyGreedy:
     @given(data=st.data(), n=st.integers(1, 40), p=densities, seed=st.integers(0, 2**32),
            ell=st.sampled_from([None, 4, 5]))
     def test_same_colours_whether_or_not_edges_were_read(self, data, n, p, seed, ell):
-        # ell None: G(n,p) itself; else its ell-clean subgraph, which is
-        # G(n,p) with its tuple built when the scan deletes no edge
+        # ell None: G(n,p) itself; else its ell-clean subgraph
         def sample():
             graph = gnp_generate(n, p, seed).graph
             return graph if ell is None else clean_subgraph(graph, ell)
@@ -305,9 +305,10 @@ class TestRainbowSearchReads:
 
 
 class TestSweepBuildsNoEdgeTuple:
-    """A criterion-07 rainbow trial reads a sampled graph's edges only
-    through its endpoint arrays and the pair table; building the edge tuple
-    as well would cost about 3% of the trial."""
+    """A criterion-07 trial, rainbow or clean-mode canonical with its audit,
+    reads the edges of its sampled and cleaned graphs only through their
+    endpoint arrays; building the edge tuple as well would cost about 3% of
+    a rainbow trial."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_search_leaves_the_tuple_unbuilt(self, seed):
@@ -317,15 +318,20 @@ class TestSweepBuildsNoEdgeTuple:
             assert outcome.found
         assert graph._edges is None
 
-    def test_sweep_reads_no_edge_tuple(self, monkeypatch):
+    @pytest.mark.parametrize("mode", [{}, {"clean_mode": True, "predicate": "canonical"}],
+                             ids=["rainbow", "clean-canonical"])
+    def test_sweep_reads_no_edge_tuple(self, monkeypatch, mode):
         def refuse(graph):
-            raise AssertionError("a rainbow trial read the edge tuple")
+            raise AssertionError("a sweep trial read the edge tuple")
 
         config = ExperimentConfig.from_json({
             "ell": 4, "n_grid": [60, 120], "c_grid": [1.0, 2.5],
-            "adversary": {"kind": "GreedyProper"}, "trials": 5, "master_seed": 1})
+            "adversary": {"kind": "GreedyProper"}, "trials": 5, "master_seed": 1, **mode})
         expected = run_sweep(config).records
         monkeypatch.setattr(OrderedGraph, "edges", property(refuse))
         records = run_sweep(config).records
         assert [r.witness for r in records] == [r.witness for r in expected]
         assert any(r.found for r in records)
+        if mode:
+            report = verify_corollary_mode(records)
+            assert report.trials_checked == len(records)
