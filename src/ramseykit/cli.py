@@ -169,12 +169,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for flag, path in (("--out", args.out), ("--out", summary_path), ("--json", args.json)):
         _check_out_dir(flag, path)
     config = _read("--config", _read_config, args.config)
+    if args.verify and not config.clean_mode:
+        raise _InputError("argument --verify: audits clean_mode sweeps, and clean_mode is false")
     result = run_sweep(config, threads=args.threads)
     write_records_csv(result.records, args.out)
     write_summary_csv(result.summaries, summary_path)
     if args.json:
         write_json(result, args.json)
-    if config.clean_mode and args.verify:
+    if args.verify:
         report = verify_corollary_mode(result.records)
         print(f"clean-mode audit: {report.trials_checked} trials re-checked, "
               f"{report.witnesses_checked} witnesses verified")

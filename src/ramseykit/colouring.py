@@ -450,7 +450,8 @@ def nonrainbow_matching_count(phi: EdgeColouring,
 def pair_density(graph: OrderedGraph, ui: Iterable[int], uj: Iterable[int],
                  p: float) -> float:
     """e(U_i, U_j) / (p |U_i| |U_j|) for disjoint classes (edges counted once)."""
-    if _finite("p", p, 0, 1) == 0:
+    p = _finite("p", p, 0, 1)
+    if p == 0:
         raise ValueError("p must be positive")
     a, b = _class_masks(graph, (ui, uj), 2)
     edges = sum((graph._adj[u] & b).bit_count() for u in bits(a))
@@ -460,7 +461,8 @@ def pair_density(graph: OrderedGraph, ui: Iterable[int], uj: Iterable[int],
 def cherry_density(graph: OrderedGraph, u1: Iterable[int], u2: Iterable[int],
                    u3: Iterable[int], p: float) -> float:
     """sum_{u in U1} d(u,U2) d(u,U3) / (p^2 |U1| |U2| |U3|)."""
-    if _finite("p", p, 0, 1) == 0:
+    p = _finite("p", p, 0, 1)
+    if p == 0:
         raise ValueError("p must be positive")
     a, b, c = _class_masks(graph, (u1, u2, u3), 3)
     adj = graph._adj

@@ -589,7 +589,7 @@ def degree_lemma_check(f: WeightedGraph, g: WeightedGraph, us: Iterable[int],
     returned count is at most eps^(1/3) n whenever the hypotheses hold.
     A negative or non-finite eps is refused with ValueError.
     """
-    _finite("eps", eps, 0)
+    eps = _finite("eps", eps, 0)
     f._check_compatible(g)
     n = f.n
     ui = _indices(n, us)

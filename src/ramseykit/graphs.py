@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
+from numbers import Real
 from threading import Lock
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -32,8 +33,8 @@ __all__ = [
 
 
 def _checked_graph(n: int, records: Iterable[tuple[str, object, object]]
-                   ) -> tuple[list[int], tuple[Edge, ...], np.ndarray, np.ndarray]:
-    """Bitset rows, sorted edges and endpoint arrays of the edges given as
+                   ) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Bitset rows and sorted endpoint arrays of the edges given as
     (where, u, v) records, refusing what ``normalise_edge`` refuses and a
     repeated edge with a message that starts with the record's ``where``."""
     seen: set[Edge] = set()
@@ -42,13 +43,12 @@ def _checked_graph(n: int, records: Iterable[tuple[str, object, object]]
         if edge in seen:
             raise ValueError(f"{where}duplicate edge {edge}")
         seen.add(edge)
-    edges = tuple(sorted(seen))
     adj = [0] * (n + 1)
-    for u, v in edges:
+    for u, v in seen:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    us, vs = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-    return adj, edges, us, vs
+    us, vs = np.array(sorted(seen), dtype=np.intp).reshape(-1, 2).T
+    return adj, us, vs
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -59,10 +59,14 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _finite(key: str, value: float, low: float = -math.inf, high: float = math.inf) -> float:
-    """``value`` as a float, refused with a ValueError naming ``key`` when it
-    is not finite or lies outside [low, high]: NaN compares false with every
-    bound, so a check written as a comparison would let it through."""
+def _finite(key: str, value: object, low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a float, refused with a ValueError naming ``key`` unless
+    it is a real number (a numpy scalar is; a bool or a string is not),
+    finite and in [low, high]: NaN compares false with every bound, so a
+    check written as a comparison would let it through."""
+    # one type test for a float; the ABC test costs about 30 times as much
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
+        raise ValueError(f"{key} must be a real number, got {value!r}")
     x = float(value)
     if not math.isfinite(x):
         raise ValueError(f"{key} must be finite, got {value!r}")
@@ -121,32 +125,27 @@ class OrderedGraph:
     is set iff uv is an edge), so neighbourhood intersections cost one word
     operation per 64 vertices.  The sorted edges are also kept as two
     endpoint arrays ``_us``, ``_vs`` for numpy work on whole edge sets.
-    A graph the library samples or derives (G(n,p), weighted samples,
-    ``complete``, clean subgraphs) builds the tuple ``edges`` from those
-    arrays on first read; every thread that reads it gets the same value.
-    Instances are otherwise immutable after construction and safe to share
-    read-only across parallel workers.
+    Every graph, given, read, sampled or derived, builds the tuple ``edges``
+    from those arrays on first read; every thread that reads it gets the
+    same value.  ``==`` and ``hash`` read the bitset rows, so they build no
+    tuple.  Instances are otherwise immutable after construction and safe
+    to share read-only across parallel workers.
     """
 
     __slots__ = ("n", "_adj", "_edges", "_us", "_vs")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         self.n = n = _integer("vertex count", n, 1)
-        self._adj, self._edges, self._us, self._vs = _checked_graph(
-            n, (("", u, v) for u, v in edges))
+        self._adj, self._us, self._vs = _checked_graph(n, (("", u, v) for u, v in edges))
+        self._edges = None
 
     @classmethod
-    def _trusted(cls, n: int, adj: list[int], edges: Optional[tuple[Edge, ...]],
-                 us: np.ndarray, vs: np.ndarray) -> "OrderedGraph":
-        """Wrap bitset rows, their lexicographically sorted edge tuple and its
-        endpoint arrays as computed by the library itself, without checking
-        them again.  With ``edges`` None the tuple is built from the
-        endpoint arrays on first read."""
+    def _trusted(cls, n: int, adj: list[int], us: np.ndarray, vs: np.ndarray) -> "OrderedGraph":
+        """Wrap bitset rows and the lexicographically sorted endpoint arrays
+        of their edges as computed by the library itself, without checking
+        them again."""
         graph = cls.__new__(cls)
-        graph.n = n
-        graph._adj = adj
-        graph._edges = edges
-        graph._us, graph._vs = us, vs
+        graph.n, graph._adj, graph._us, graph._vs, graph._edges = n, adj, us, vs, None
         return graph
 
     @classmethod
@@ -201,10 +200,10 @@ class OrderedGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrderedGraph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, *self._adj))
 
     def __repr__(self) -> str:
         return f"OrderedGraph(n={self.n}, m={self.edge_count})"
@@ -301,7 +300,7 @@ def _graph_from_pairs(n: int, idx: np.ndarray) -> OrderedGraph:
     adj = packed[::words]
     for j in range(1, words):  # word j of every row, above the words before it
         adj = [row | word << 64 * j for row, word in zip(adj, packed[j::words])]
-    return OrderedGraph._trusted(n, adj, None, iu[idx], iv[idx])
+    return OrderedGraph._trusted(n, adj, iu[idx], iv[idx])
 
 
 @lru_cache(maxsize=4)
@@ -442,7 +441,7 @@ def clean_subgraph(graph: OrderedGraph, ell: int) -> OrderedGraph:
         return graph
     keep = np.ones(graph.edge_count, dtype=bool)
     keep[removed] = False
-    return OrderedGraph._trusted(graph.n, adj, None, graph._us[keep], graph._vs[keep])
+    return OrderedGraph._trusted(graph.n, adj, graph._us[keep], graph._vs[keep])
 
 
 def write_graph(graph: OrderedGraph, path: str) -> None:

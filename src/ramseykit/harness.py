@@ -292,8 +292,10 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     Trials are embarrassingly parallel.  Both maps keep input order, so the
     records arrive cell by cell in grid order (n, then C, then trial) and
     scheduling never changes the output.  Per-trial resource limits are
-    recorded in the row, never abort the sweep.
+    recorded in the row, never abort the sweep.  ``threads``, the number of
+    worker processes, is an integer at least 1.
     """
+    threads = _integer("threads", threads, 1)
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 

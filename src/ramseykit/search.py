@@ -155,8 +155,10 @@ def arrows_mono(graph: OrderedGraph, query: ArrowQuery,
     the last edge, and the next edge to branch on is the one with fewest
     colours left.  Exhaustion proves the arrow; a completed colouring
     refutes it and is returned as the certificate.  Exceeding ``budget``
-    raises ResourceLimitError rather than guessing.
+    raises ResourceLimitError rather than guessing; ``budget`` is an integer
+    at least 1.
     """
+    budget = _integer("budget", budget, 1)
     m = graph.edge_count
     clique_edges = _clique_edges(graph, query.ell)
     if not clique_edges:

@@ -297,3 +297,16 @@ def test_malformed_input_file_exits_2(flag, text, message, coloured_files, tmp_p
     line = _input_error(argv, capsys)
     assert line.startswith(f"ramseykit {command}: error: argument {flag}: {str(bad)!r}: ")
     assert line.endswith(message)
+
+
+def test_verify_without_clean_mode_exits_2(tmp_path, monkeypatch, capsys):
+    # --verify used to be ignored silently when the config's clean_mode was false
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
+    config = tmp_path / "sweep.json"
+    config.write_text('{"ell": 4, "n_grid": [12], "c_grid": [1.0], "trials": 2, '
+                      '"master_seed": 1, "adversary": {"kind": "GreedyProper"}}')
+    line = _input_error(["sweep", "--config", str(config), "--out", str(tmp_path / "trials.csv"),
+                         "--verify"], capsys)
+    assert line == ("ramseykit sweep: error: argument --verify: "
+                    "audits clean_mode sweeps, and clean_mode is false")
+    assert list(tmp_path.iterdir()) == [config]

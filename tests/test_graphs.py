@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import math
+import os
 import pickle
+import tempfile
 import weakref
 
 import numpy as np
@@ -214,8 +216,19 @@ def _cleaned(ell, given=False):
     return cleaned
 
 
-# graphs the library samples or derives, which build their edge tuple on first read
+def _read_back(graph):
+    """``graph`` written in the text format and read back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        write_graph(graph, path)
+        return read_graph(path)
+
+
+# every form of graph, each of which builds its edge tuple on first read
 LAZY_GRAPHS = {
+    **{f"given-{n}": (lambda n=n: OrderedGraph(n, edges_from_rows(gnp_generate(n, 0.3, 11).graph)))
+       for n in (1, 2, 60)},
+    **{f"read-{n}": (lambda n=n: _read_back(gnp_generate(n, 0.3, 11).graph)) for n in (1, 2, 60)},
     **{f"gnp-{n}-{p}": (lambda n=n, p=p: gnp_generate(n, p, 11).graph)
        for n in (1, 2, 60, 120) for p in (0.0, 0.3, 1.0)},
     **{f"complete-{n}": (lambda n=n: OrderedGraph.complete(n)) for n in (1, 2, 60)},
@@ -237,28 +250,64 @@ class TestLazyEdges:
         assert graph._edges is None
         expected = OrderedGraph(graph.n, edges_from_rows(graph))
         assert graph.edge_count == expected.edge_count
-        assert graph._edges is None  # the count reads the endpoint arrays
-        assert graph == expected and graph._edges is not None
-        assert type(graph.edges) is tuple and graph.edges == expected.edges
+        # the count reads the endpoint arrays, == and hash the bitset rows
+        assert graph == expected and hash(graph) == hash(expected)
+        back = pickle.loads(pickle.dumps(graph))
+        assert back == expected and back._adj == expected._adj
+        assert all(g._edges is None for g in (graph, expected, back))
+        assert type(graph.edges) is tuple and graph.edges == expected.edges == back.edges
         assert graph.edges is graph.edges  # built once
         assert graph._us.tolist() == expected._us.tolist()
         assert graph._vs.tolist() == expected._vs.tolist()
-        # each of ==, hash and a pickle round trip on a graph whose tuple is unbuilt
-        assert expected == make()
-        assert hash(make()) == hash(expected)
-        back = pickle.loads(pickle.dumps(make()))
-        assert back._edges is None and back._adj == expected._adj
-        assert back == expected and back.edges == expected.edges
 
     @pytest.mark.parametrize("ell", [4, 5])
     def test_clean_subgraph_of_a_sample_matches_given_edges(self, ell):
         assert _cleaned(ell) == _cleaned(ell, given=True)
 
-    def test_read_graph_keeps_its_tuple(self, tmp_path):
-        path = tmp_path / "g.txt"
-        write_graph(gnp_generate(20, 0.4, 2).graph, str(path))
-        graph = read_graph(str(path))
-        assert type(graph._edges) is tuple
+    def test_comparing_colourings_builds_no_tuple(self):
+        # EdgeColouring.__eq__ compares the hosts
+        greedy = AdversarySpec("GreedyProper")
+        phi, psi = (generate_colouring(gnp_generate(30, 0.5, 2).graph, greedy) for _ in range(2))
+        assert phi == psi and phi.host is not psi.host
+        assert phi.host._edges is None and psi.host._edges is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5))
+    def test_equal_iff_edge_sets_agree(self, data, n):
+        # two graphs drawn in any of the forms, the second half the time on
+        # the first one's vertices and edges
+        def draw_graph(n, mask):
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            edges = [pair for i, pair in enumerate(pairs) if mask >> i & 1]
+            form = data.draw(st.sampled_from(["given", "read", "sampled", "gnp", "complete", "cleaned"]))
+            if form == "given":
+                return OrderedGraph(n, edges)
+            if form == "read":
+                return _read_back(OrderedGraph(n, edges))
+            if form == "sampled":  # weight 1 on the edges, 0 elsewhere
+                indicator = WeightedGraph.indicator(OrderedGraph(n, edges))
+                return sample_graph_from_weights(indicator, data.draw(seeds))
+            if form == "gnp":
+                return gnp_generate(n, data.draw(st.sampled_from([0.0, 0.5, 1.0])), data.draw(seeds)).graph
+            if form == "complete":
+                return OrderedGraph.complete(n)
+            return clean_subgraph(OrderedGraph.complete(n) if mask & 1 else OrderedGraph(n, edges), 4)
+
+        def draw_mask(n):
+            return data.draw(st.integers(0, 2 ** (n * (n - 1) // 2) - 1))
+
+        mask = draw_mask(n)
+        a = draw_graph(n, mask)
+        if data.draw(st.booleans()):
+            b = draw_graph(n, mask)
+        else:
+            m = data.draw(st.sampled_from([n, n + 1]))
+            b = draw_graph(m, draw_mask(m))
+        equal = a == b
+        assert equal == (b == a)
+        assert not equal or hash(a) == hash(b)
+        assert a._edges is None and b._edges is None
+        assert equal == ((a.n, set(a.edges)) == (b.n, set(b.edges)))
 
     def test_reading_edges_builds_no_pair_table(self, monkeypatch):
         # below the cap no table stays cached, so each call builds one

@@ -1,13 +1,16 @@
-"""The three input rules: an integer size, count or seed, a vertex of
-{1,...,n}, and an edge colouring, each checked where it enters.
+"""The input rules: an integer size, count or seed, a real parameter, a
+vertex of {1,...,n}, and an edge colouring, each checked where it enters.
 
 Every public function and constructor that takes a size refuses 3.5, 3.0 and
 True with a ValueError naming the parameter, and gives the same result for a
 numpy integer as for the int it equals; so does every one that takes a seed.
-The scalar lookups answer a non-vertex with no edge."""
+Every one that takes a real parameter refuses a bool and a string, and gives
+the same result for a numpy float as for the float it equals.  The scalar
+lookups answer a non-vertex with no edge."""
 
 import json
 import re
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -25,10 +28,12 @@ from ramseykit import (
     arrows_mono,
     build_sequence,
     canonical_arrow_exhaustive,
+    cherry_density,
     classify_copy,
     clean_subgraph,
     count_cliques,
     cutnorm_heuristic,
+    degree_lemma_check,
     derive_seed,
     enumerate_cliques,
     er_find,
@@ -38,9 +43,12 @@ from ramseykit import (
     generate_colouring,
     gnp_generate,
     greedy_colour_partition,
+    is_delta_p_bounded,
+    pair_density,
     rainbow_by_sampling,
     read_colouring,
     restricted_growth_strings,
+    run_sweep,
     sample_graph_from_weights,
     wilson_interval,
     witness_for,
@@ -54,12 +62,19 @@ TWO_COLOURED_K30 = generate_colouring(OrderedGraph.complete(30), AdversarySpec("
 SEQUENCE = build_sequence(TWO_COLOURED_K30, ErConstants.for_clique(3))
 _UPPER = np.triu(np.random.default_rng(0).uniform(-1.0, 1.0, (8, 8)), 1)
 SIGNED_8 = WeightedGraph(_UPPER + _UPPER.T)
+HALF_6 = WeightedGraph.constant(6, 0.5)
 
 
 def _config(**kwargs) -> ExperimentConfig:
     fields = dict(ell=4, n_grid=(12,), c_grid=(1.0,), adversary=AdversarySpec("GreedyProper"),
                   trials=2, master_seed=1)
     return ExperimentConfig(**{**fields, **kwargs})
+
+
+def _sweep_records(threads):
+    """The records of a small sweep on ``threads`` workers, without their
+    timings."""
+    return [replace(r, elapsed_ms=0) for r in run_sweep(_config(), threads).records]
 
 
 # (parameter name in the message, a valid value, the call)
@@ -74,6 +89,8 @@ SIZES = [
     pytest.param("ell", 3, lambda ell: find_canonical_copy(INJECTIVE_K5, ell), id="find_canonical_copy"),
     pytest.param("ell", 3, lambda ell: find_rainbow_copy(INJECTIVE_K5, ell), id="find_rainbow_copy"),
     pytest.param("ell", 3, lambda ell: arrows_mono(K6, ArrowQuery(ell, 2)), id="ArrowQuery.ell"),
+    pytest.param("budget", 1000, lambda budget: arrows_mono(K6, ArrowQuery(3, 2), budget),
+                 id="arrows_mono.budget"),
     pytest.param("r", 2, lambda r: arrows_mono(K6, ArrowQuery(3, r)), id="ArrowQuery.r"),
     pytest.param("ell", 3, lambda ell: canonical_arrow_exhaustive(OrderedGraph.complete(4), ell),
                  id="canonical_arrow_exhaustive"),
@@ -94,6 +111,7 @@ SIZES = [
     pytest.param("master_seed", 1, lambda seed: _config(master_seed=seed),
                  id="ExperimentConfig.master_seed"),
     pytest.param("budget", 10, lambda budget: _config(budget=budget), id="ExperimentConfig.budget"),
+    pytest.param("threads", 1, _sweep_records, id="run_sweep.threads"),
     pytest.param("trials", 10, lambda trials: wilson_interval(3, trials), id="wilson_interval.trials"),
     pytest.param("successes", 3, lambda k: wilson_interval(k, 10), id="wilson_interval.successes"),
     pytest.param("vertex count", 4, lambda n: WeightedGraph.zeros(n).w.tolist(), id="WeightedGraph.zeros"),
@@ -141,10 +159,45 @@ def test_frozen_parameters_store_python_ints():
     ("m", 0, lambda m: list(restricted_growth_strings(m))), ("restarts", 1,
      lambda k: cutnorm_heuristic(WeightedGraph.zeros(3), k)),
     ("ell", 3, lambda ell: PatternGraph.cycle(ell)), ("cap", 1, lambda cap: greedy_colour_partition({}, cap)),
+    ("budget", 1, lambda budget: arrows_mono(K6, ArrowQuery(3, 2), budget)),
+    ("threads", 1, _sweep_records),
 ])
 def test_size_below_its_bound_names_the_value(key, low, make):
     with pytest.raises(ValueError, match=f"^{key} must be >= {low}, got {low - 1}$"):
         make(low - 1)
+
+
+# (parameter name in the message, a valid value, the call)
+REALS = [
+    pytest.param("p", 0.5, lambda p: gnp_generate(10, p, 1).graph, id="gnp_generate"),
+    pytest.param("z", 1.96, lambda z: wilson_interval(3, 10, z=z), id="wilson_interval"),
+    pytest.param("weights", 0.5, lambda value: WeightedGraph.constant(3, value).w.tolist(),
+                 id="WeightedGraph.constant"),
+    pytest.param("scale", 2.0, lambda scale: WeightedGraph.indicator(K5, scale).w.tolist(),
+                 id="WeightedGraph.indicator"),
+    pytest.param("scalar", 2.0, lambda scalar: (SIGNED_8 * scalar).w.tolist(), id="WeightedGraph.mul"),
+    pytest.param("delta", 0.1, lambda delta: ErConstants(3, delta, 5), id="ErConstants"),
+    pytest.param("delta", 0.5, lambda delta: rainbow_by_sampling(INJECTIVE_K12, range(1, 13), 3, delta, 0),
+                 id="rainbow_by_sampling"),
+    pytest.param("delta", 0.5, lambda delta: is_delta_p_bounded(INJECTIVE_K5, range(1, 6), delta, 0.5),
+                 id="is_delta_p_bounded.delta"),
+    pytest.param("p", 0.5, lambda p: is_delta_p_bounded(INJECTIVE_K5, range(1, 6), 0.5, p),
+                 id="is_delta_p_bounded.p"),
+    pytest.param("eps", 0.001, lambda eps: degree_lemma_check(HALF_6, HALF_6, [1, 2, 3, 4], eps),
+                 id="degree_lemma_check"),
+    pytest.param("p", 0.5, lambda p: pair_density(K6, [1, 2], [3, 4], p), id="pair_density"),
+    pytest.param("p", 0.5, lambda p: cherry_density(K6, [1], [2, 3], [4, 5], p), id="cherry_density"),
+]
+
+
+@pytest.mark.parametrize("key, valid, call", REALS)
+def test_real_is_a_number_and_numpy_floats_match_floats(key, valid, call):
+    # float() read True as 1.0 (gnp_generate(10, True, 1) sampled K_10) and
+    # "0.5" as 0.5; degree_lemma_check and the densities then raised TypeError
+    for bad in (True, "0.5", None):
+        with pytest.raises(ValueError, match=f"^{key} must be a real number, got {re.escape(repr(bad))}$"):
+            call(bad)
+    assert call(np.float64(valid)) == call(valid)
 
 
 def test_k6_arrows_k3_and_a_fractional_ell_is_refused():
