@@ -100,7 +100,7 @@ def _greedy_proper(graph: OrderedGraph) -> Callable[[int, int], list[int]]:
     ``graph.edges[start:end]``, called on consecutive slices from 0."""
     used = [0] * (graph.n + 1)  # bitmask of the colours at each vertex
     us, vs = graph._us, graph._vs  # not graph.edges, which would build the whole tuple
-    bit = _bit_table(graph.n)[0]
+    bit = _bit_table(graph.n)
 
     def source(start: int, end: int) -> list[int]:
         colours = []

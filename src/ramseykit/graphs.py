@@ -304,12 +304,11 @@ def _graph_from_pairs(n: int, idx: np.ndarray) -> OrderedGraph:
 
 
 @lru_cache(maxsize=4)
-def _bit_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``bit[x] = 1 << x`` for x < 2n + 2 and ``above[v] = -(2 << v)``, the
-    bits above v, for v <= n.  The bit-level loops read these instead of
-    building a multi-digit int at each use; 2n + 2 bits also cover every
-    colour of a greedy proper edge colouring of a graph on n vertices."""
-    return tuple(1 << x for x in range(2 * n + 2)), tuple(-(2 << v) for v in range(n + 1))
+def _bit_table(n: int) -> tuple[int, ...]:
+    """``bit[x] = 1 << x`` for x < 2n + 2, read by the bit-level loops instead
+    of building a multi-digit int at each use: every vertex, and every colour
+    of a greedy proper edge colouring of a graph on n vertices."""
+    return tuple(1 << x for x in range(2 * n + 2))
 
 
 def _extend_cliques(adj: Sequence[int], cand: int, need: int,
@@ -396,31 +395,29 @@ def _clean_scan(adj: list[int], us: np.ndarray, vs: np.ndarray, ell: int) -> lis
     of some w in common, the common neighbourhood of u and v, holds two
     distinct K_{ell-3} (two vertices at ell = 4).  Only a w above v can: for
     w < v the edge uw came earlier in the scan with v and both cliques in its
-    common neighbourhood, so it was deleted.  Those w are walked from the
-    top.  At ell = 3 nothing is deleted, since two distinct triangles share
-    at most two vertices.
+    common neighbourhood, so it was deleted.  So common is walked from its
+    top vertex down, stopping at the first w not above v (v itself is never
+    in common).  At ell = 3 nothing is deleted, since two distinct triangles
+    share at most two vertices.
     """
     if ell == 3:
         return []
-    bit, above = _bit_table(len(adj) - 1)
+    bit = _bit_table(len(adj) - 1)
     size = ell - 2  # vertices that two distinct K_{ell-3} span at least
     removed = []
     for i, u, v in zip(count(), us.tolist(), vs.tolist()):
         common = adj[u] & adj[v]
         if common.bit_count() <= size:
             continue
-        rest = common & above[v]
-        while rest:
-            w = rest.bit_length() - 1
-            rest ^= bit[w]
+        rest = common
+        while (w := rest.bit_length() - 1) > v:
             if (adj[w] & common).bit_count() >= size and (
                     size == 2 or any(islice(_extend_cliques(adj, adj[w] & common, ell - 3), 1, None))):
+                adj[u] ^= bit[v]  # uv is still an edge, so its bits are set
+                adj[v] ^= bit[u]
+                removed.append(i)
                 break
-        else:
-            continue
-        adj[u] ^= bit[v]  # uv is still an edge, so its bits are set
-        adj[v] ^= bit[u]
-        removed.append(i)
+            rest ^= bit[w]
     return removed
 
 

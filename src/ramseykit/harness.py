@@ -10,6 +10,7 @@ import math
 import time
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import combinations
+from numbers import Real
 from typing import Iterable, Optional, Sequence
 
 from .adversaries import AdversarySpec, _check_json_keys, generate_colouring
@@ -104,7 +105,7 @@ class ExperimentConfig:
             if not isinstance(getattr(self, key), (list, tuple)):
                 raise ValueError(f"{key} must be a list, got {getattr(self, key)!r}")
         object.__setattr__(self, "n_grid", tuple(_integer("n_grid", n, 1) for n in self.n_grid))
-        if any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in self.c_grid):
+        if any(isinstance(c, bool) or not isinstance(c, Real) for c in self.c_grid):
             raise ValueError(f"c_grid must list numbers, got {list(self.c_grid)!r}")
         object.__setattr__(self, "c_grid", tuple(float(c) for c in self.c_grid))
         for key, low in (("ell", 3), ("trials", 1), ("master_seed", -math.inf), ("budget", 1)):

@@ -457,7 +457,7 @@ class TestCleanSubgraph:
 
     @settings(max_examples=300, deadline=None)
     @given(graphs_with_mask().map(lambda graph_and_common: graph_and_common[0]),
-           st.sampled_from([4, 5, 6]))
+           st.sampled_from([4, 5, 6, 7]))
     # the scan's conflict test at the first edge (1, 2).  At ell = 4 the
     # common neighbourhood induces a path (its middle vertex has two
     # neighbours there, each end one), one edge beside an isolated vertex,
@@ -490,7 +490,7 @@ class TestCleanSubgraph:
             assert clean_subgraph(cleaned, 4) == cleaned
             assert clean_subgraph(g, 4) == cleaned
 
-    @pytest.mark.parametrize("ell", [4, 5, 6])
+    @pytest.mark.parametrize("ell", [4, 5, 6, 7])  # 7 streams K_4s in a link
     def test_matches_brute_force_scan(self, ell):
         for seed in range(6):
             g = gnp_generate(11 + seed % 3, 0.65 + 0.05 * seed, seed).graph

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,6 +167,12 @@ class TestConfig:
     def test_from_json_accepts_integer_c(self):
         data = {**small_config().to_json(), "c_grid": [1, 2.5]}
         assert ExperimentConfig.from_json(data).c_grid == (1.0, 2.5)
+
+    @pytest.mark.parametrize("value", [np.int64(2), np.float32(1.5)], ids=["int64", "float32"])
+    def test_accepts_numpy_c(self, value):
+        # the same real-number rule as every other real parameter
+        c_grid = small_config(c_grid=(0.5, value)).c_grid
+        assert c_grid == (0.5, float(value)) and all(type(c) is float for c in c_grid)
 
     @pytest.mark.parametrize("grid", [{"n_grid": (30, 30)}, {"c_grid": (1.0, 1)}])
     def test_rejects_duplicate_grid_values(self, grid):
